@@ -21,6 +21,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 use mpisim::PoolBudget;
+use simdes::SimTime;
 use tracefmt::json::{Json, ToJson};
 
 use super::protocol::Reply;
@@ -38,6 +39,8 @@ pub(crate) struct Job {
     pub config_json: String,
     /// Predicted buffer shape, used to grow the worker's pool slot.
     pub pool: PoolBudget,
+    /// Sim-time watchdog limit, derived from the admission budget report.
+    pub watchdog: SimTime,
     /// Set when the submitting connection died: the job is recorded as
     /// cancelled instead of run. Recovered jobs use a flag that is never
     /// set — nobody can disconnect from the journal.
@@ -225,6 +228,7 @@ mod tests {
                 requests_per_rank: 0,
                 trace_records: 0,
             },
+            watchdog: SimTime::ZERO,
             cancel: Arc::new(AtomicBool::new(false)),
             reply: None,
             scenario: s,

@@ -264,6 +264,7 @@ pub fn run_serve(
             fingerprint: config_fingerprint(&scenario.config),
             config_json: json::to_string(&scenario.config),
             pool: report.pool,
+            watchdog: sweep::sim_budget(&scenario, &shared.sweep_opts, &report),
             cancel: Arc::new(AtomicBool::new(false)),
             reply: None,
             scenario,
@@ -417,7 +418,7 @@ fn run_job(shared: &Shared, job: &Job, pool: &sweep::PoolSlot) -> ScenarioResult
         }
     }
     sweep::ensure_pool_budget(pool, job.pool);
-    let result = sweep::supervise(&job.scenario, &shared.sweep_opts, None, pool);
+    let result = sweep::supervise(&job.scenario, &shared.sweep_opts, job.watchdog, None, pool);
     if cacheable && result.status == ScenarioStatus::Ok {
         if let (Some(cache), Some(summary)) = (shared.cache.as_ref(), result.summary.as_ref()) {
             let _ = cache.store(&job.config_json, job.fingerprint, result.attempts, summary);
@@ -609,6 +610,7 @@ fn submit(
         fingerprint: config_fingerprint(&scenario.config),
         config_json: json::to_string(&scenario.config),
         pool: report.pool,
+        watchdog: sweep::sim_budget(&scenario, &shared.sweep_opts, &report),
         cancel: Arc::clone(cancel),
         reply: Some(tx.clone()),
         scenario,

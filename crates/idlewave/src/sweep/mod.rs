@@ -418,6 +418,7 @@ struct RunCtx<'a> {
     cache: Option<&'a cache::ResultCache>,
     config_jsons: &'a [String],
     fingerprints: &'a [u64],
+    watchdogs: &'a [SimTime],
     counters: &'a Counters,
     warnings: &'a Mutex<Vec<String>>,
 }
@@ -502,14 +503,26 @@ pub fn run_sweep_interruptible(
     let manifest = shard::manifest_path(out_path);
     shard::write_atomic(&manifest, &format!("{}\n", json::to_string(&header)))?;
 
+    // One static budget analysis per scenario feeds the watchdog limit
+    // of every attempt and the pre-flight checks below.
+    let reports: Vec<simcheck::BudgetReport> = scenarios
+        .iter()
+        .map(|s| simcheck::budget::budget(&s.config))
+        .collect();
+    let watchdogs: Vec<SimTime> = scenarios
+        .iter()
+        .zip(&reports)
+        .map(|(s, report)| sim_budget(s, opts, report))
+        .collect();
+
     let ckpt_dir = opts.checkpoint_dir.as_deref();
     if let Some(dir) = ckpt_dir {
         std::fs::create_dir_all(dir)?;
     }
     if ckpt_dir.is_some() {
         if let Some(interval) = opts.checkpoint.every_sim_time {
-            for s in scenarios {
-                for d in simcheck::checkpoint_checks(interval, sim_budget(s, opts)) {
+            for (s, &watchdog) in scenarios.iter().zip(&watchdogs) {
+                for d in simcheck::checkpoint_checks(interval, watchdog) {
                     warnings.push(format!("scenario '{}': {d}", s.id));
                 }
             }
@@ -551,9 +564,9 @@ pub fn run_sweep_interruptible(
         None => None,
     };
 
-    // Pre-flight budget pass: one static analysis per scenario feeds the
-    // suite-level duplicate check (SC020), the --budget gate (SC018), and
-    // the shared buffer shape every supervision slot pre-sizes from.
+    // Pre-flight budget pass: the static analyses feed the suite-level
+    // duplicate check (SC020), the --budget gate (SC018), and the shared
+    // buffer shape every supervision slot pre-sizes from.
     let ids: Vec<&str> = scenarios.iter().map(|s| s.id.as_str()).collect();
     for d in simcheck::budget::duplicate_fingerprint_checks(&ids, &fingerprints) {
         warnings.push(d.to_string());
@@ -571,13 +584,12 @@ pub fn run_sweep_interruptible(
         max_events: opts.budget,
         ..Default::default()
     };
-    for (i, s) in scenarios.iter().enumerate() {
-        let report = simcheck::budget::budget(&s.config);
+    for (i, (s, report)) in scenarios.iter().zip(&reports).enumerate() {
         pool_budget = max_pool_budget(pool_budget, report.pool);
         if finished.contains_key(s.id.as_str()) {
             continue;
         }
-        let sc018: Vec<_> = simcheck::budget::budget_checks(&s.config, &report, &gates)
+        let sc018: Vec<_> = simcheck::budget::budget_checks(&s.config, report, &gates)
             .into_iter()
             .filter(|d| d.code == "SC018")
             .collect();
@@ -635,6 +647,7 @@ pub fn run_sweep_interruptible(
         cache: cache.as_ref(),
         config_jsons: &config_jsons,
         fingerprints: &fingerprints,
+        watchdogs: &watchdogs,
         counters: &counters,
         warnings: &runtime_warnings,
     };
@@ -813,7 +826,7 @@ fn run_one(ctx: &RunCtx<'_>, scenario: &Scenario, idx: usize, pool: &PoolSlot) -
         policy: ctx.opts.checkpoint,
         resume: ctx.opts.resume,
     });
-    let result = supervise(scenario, ctx.opts, ckpt.as_ref(), pool);
+    let result = supervise(scenario, ctx.opts, ctx.watchdogs[idx], ckpt.as_ref(), pool);
     if cacheable && result.status == ScenarioStatus::Ok {
         if let (Some(cache), Some(summary)) = (ctx.cache, result.summary) {
             // Best-effort: a full disk must not fail an earned result.
@@ -1014,15 +1027,17 @@ fn validate_resume_configs(
 
 /// Supervise one scenario: bounded attempts, each in an isolated worker
 /// with panic capture and the wall-clock backstop, with capped
-/// exponential backoff between retries.
+/// exponential backoff between retries. `watchdog` is the scenario's
+/// sim-time limit, [`sim_budget`] of the caller's budget report.
 pub(crate) fn supervise(
     scenario: &Scenario,
     opts: &SweepOptions,
+    watchdog: SimTime,
     ckpt: Option<&CkptPlan>,
     pool: &PoolSlot,
 ) -> ScenarioResult {
     let limits = RunLimits {
-        max_sim_time: Some(sim_budget(scenario, opts)),
+        max_sim_time: Some(watchdog),
         max_events: opts.max_events,
     };
     // Per-scenario jitter salt: scenarios that hit the same transient at
@@ -1268,17 +1283,21 @@ fn write_snapshot_atomic(path: &Path, snap: &Snapshot) -> io::Result<()> {
 }
 
 /// The deterministic sim-time budget for a scenario: its explicit
-/// `max_sim_time`, or the budget analyzer's predicted runtime
+/// `max_sim_time`, or the predicted runtime of its budget `report`
 /// ([`simcheck::budget::BudgetReport::sim_time_predicted`]) plus the
 /// worst-case allowances the central estimate deliberately leaves out,
 /// times `watchdog_factor`.
-fn sim_budget(scenario: &Scenario, opts: &SweepOptions) -> SimTime {
+pub(crate) fn sim_budget(
+    scenario: &Scenario,
+    opts: &SweepOptions,
+    report: &simcheck::BudgetReport,
+) -> SimTime {
     if let Some(t) = scenario.max_sim_time {
         return t;
     }
     let cfg = &scenario.config;
     let steps = u64::from(cfg.steps.max(1));
-    let mut nominal = simcheck::budget::budget(cfg).sim_time_predicted;
+    let mut nominal = report.sim_time_predicted;
     if let Some(m) = cfg.faults.messages {
         // Worst case, every step's messages serially exhaust the backoff.
         nominal += m.max_extra_delay().times(steps);
@@ -1448,6 +1467,82 @@ mod tests {
             wall_timeout: Duration::from_secs(20),
             ..SweepOptions::default()
         }
+    }
+
+    /// The watchdog limits derived from a caller's budget report, pinned
+    /// to the values the supervisor derived when it ran the budget
+    /// analysis itself.
+    #[test]
+    fn sim_budget_values_are_pinned() {
+        let noisy = WaveExperiment::flat_chain(16)
+            .texec(SimDuration::from_millis(2))
+            .steps(10)
+            .inject(3, 2, SimDuration::from_millis(7))
+            .noise(noise_model::DelayDistribution::Exponential {
+                mean: SimDuration::from_micros(50),
+            })
+            .seed(9)
+            .into_config();
+        let mut faulty = quick_cfg(2);
+        faulty.faults = FaultPlan::none().with_drops(0.2, SimDuration::from_micros(100));
+        let rdvz = WaveExperiment::flat_chain(8)
+            .direction(workload::Direction::Bidirectional)
+            .rendezvous()
+            .texec(SimDuration::from_millis(1))
+            .steps(6)
+            .into_config();
+        let default = SweepOptions::default();
+        let tight = SweepOptions {
+            watchdog_factor: 2.0,
+            ..SweepOptions::default()
+        };
+        let explicit = Scenario {
+            max_sim_time: Some(SimTime(123_456)),
+            ..Scenario::new("explicit", quick_cfg(3))
+        };
+        for (s, o, want) in [
+            (Scenario::new("quick", quick_cfg(1)), &default, 258_134_336),
+            (Scenario::new("noisy", noisy), &default, 1_795_835_840),
+            (Scenario::new("faulty", faulty), &default, 26_549_334_336),
+            (Scenario::new("rdvz", rdvz), &tight, 13_093_972),
+            (explicit, &default, 123_456),
+        ] {
+            let report = simcheck::budget::budget(&s.config);
+            assert_eq!(sim_budget(&s, o, &report), SimTime(want), "{}", s.id);
+        }
+    }
+
+    /// A scenario whose explicit watchdog sits 1 ns below its runtime is
+    /// fused, trips, and records the general loop's exact error.
+    #[test]
+    fn a_watchdog_one_ns_short_records_the_general_loop_error() {
+        let cfg = WaveExperiment::flat_chain(8)
+            .eager()
+            .texec(SimDuration::from_millis(1))
+            .steps(5)
+            .inject(2, 1, SimDuration::from_millis(4))
+            .seed(3)
+            .into_config();
+        assert!(mpisim::fused_path_eligible(&cfg));
+        let runtime = mpisim::run(&cfg).total_runtime();
+        let limits = RunLimits::sim_time(SimTime(runtime.0 - 1));
+        let never = mpisim::CheckpointPolicy {
+            every_sim_time: None,
+            every_events: Some(u64::MAX),
+        };
+        let want = Engine::new(cfg.clone())
+            .try_run_checkpointed(&limits, &never, |_| {})
+            .expect_err("the general loop trips");
+        let out = tmp("watchdog_one_ns.jsonl");
+        let _ = std::fs::remove_file(&out);
+        let scenarios = [Scenario {
+            max_sim_time: limits.max_sim_time,
+            ..Scenario::new("short", cfg)
+        }];
+        let report = run_sweep(&scenarios, &opts(), &out).expect("sweep io");
+        let r = &report.results[0];
+        assert_eq!(r.status, ScenarioStatus::Watchdog);
+        assert_eq!(r.error.as_deref(), Some(want.to_string().as_str()));
     }
 
     #[test]

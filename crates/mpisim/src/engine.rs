@@ -1033,19 +1033,7 @@ impl Engine {
     /// Return every pooled buffer to `pools` for the next run, updating
     /// the capacity watermark and grow counter.
     pub fn recycle(mut self, pools: &mut EnginePools) {
-        self.q.reset();
-        self.records.clear();
-        let mut reqs = self.ranks.reqs;
-        reqs.iter_mut().for_each(ReqSlots::clear);
-        self.scratch_recv.clear();
-        self.scratch_send.clear();
-        self.scratch_cts.clear();
-        pools.q = self.q;
-        pools.records = self.records;
-        pools.reqs = reqs;
-        pools.scratch_recv = self.scratch_recv;
-        pools.scratch_send = self.scratch_send;
-        pools.scratch_cts = self.scratch_cts;
+        self.stow(pools);
         let cap = pools.capacity();
         // A fresh pool's first run sets the baseline; a budgeted pool
         // (nonzero watermark before any run) is held to its budget from
@@ -1055,6 +1043,22 @@ impl Engine {
         }
         pools.watermark = pools.watermark.max(cap);
         pools.runs += 1;
+    }
+
+    /// Move every pooled buffer, emptied, into `pools` (no accounting).
+    fn stow(&mut self, pools: &mut EnginePools) {
+        self.q.reset();
+        self.records.clear();
+        self.ranks.reqs.iter_mut().for_each(ReqSlots::clear);
+        self.scratch_recv.clear();
+        self.scratch_send.clear();
+        self.scratch_cts.clear();
+        pools.q = std::mem::take(&mut self.q);
+        pools.records = std::mem::take(&mut self.records);
+        pools.reqs = std::mem::take(&mut self.ranks.reqs);
+        pools.scratch_recv = std::mem::take(&mut self.scratch_recv);
+        pools.scratch_send = std::mem::take(&mut self.scratch_send);
+        pools.scratch_cts = std::mem::take(&mut self.scratch_cts);
     }
 
     /// Run to completion and return the trace.
@@ -1166,6 +1170,19 @@ impl Engine {
 
     /// The event loop proper: drain the queue, dispatching every event,
     /// until the run completes, a budget trips, or the queue starves.
+    ///
+    /// A fresh fusion-eligible engine with no checkpoint cadence runs the
+    /// fused cascade instead, limits or not, and checks the limits on the
+    /// finished run: the event count it reports is the semantic one, and
+    /// every elided `ExecEnd`/`EagerArrive` lies at or before its cell's
+    /// `comm_end`, so the general loop would trip exactly when the count
+    /// exceeds `max_events` or the latest `comm_end` lies past
+    /// `max_sim_time`. On a trip (or any unfinished run) the engine is
+    /// rebuilt and replayed through the general loop below, which yields
+    /// the exact [`SimError`] — `at`, `events`, `why` — of a run that never
+    /// fused. Checkpointed and restored runs (`started` already set)
+    /// always take the general loop, which is what makes resuming a
+    /// snapshot bit-identical regardless of which path produced it.
     fn run_loop<F>(
         &mut self,
         limits: &RunLimits,
@@ -1183,30 +1200,31 @@ impl Engine {
             self.records
                 .reserve(want.saturating_sub(self.records.len()));
         }
+        if !self.started && self.fused.is_some() && !policy.is_active() {
+            self.started = true;
+            self.run_fused();
+            self.stats.events = self.elided;
+            let over_events = limits.max_events.is_some_and(|n| self.elided > n);
+            let end = self.finish.iter().copied().max().unwrap_or(SimTime::ZERO);
+            let over_time = limits.max_sim_time.is_some_and(|t| end > t);
+            if self.done_count == nranks && !over_events && !over_time {
+                return Ok(());
+            }
+            self.rebuild_for_replay();
+        }
         let plain =
             limits.max_sim_time.is_none() && limits.max_events.is_none() && !policy.is_active();
         if !self.started {
             self.started = true;
-            if plain && self.fused.is_some() {
-                // Fused fast path: eligible config, fresh engine, and no
-                // budget or checkpoint cadence to observe — advance whole
-                // steps without the calendar. Budgeted, checkpointed, and
-                // restored runs (`started` already set) always replay
-                // through the general event loop, which is what makes
-                // resuming a snapshot bit-identical regardless of which
-                // path produced it.
-                self.run_fused();
-            } else {
-                for r in 0..nranks {
-                    self.start_exec(r, SimTime::ZERO);
-                }
+            for r in 0..nranks {
+                self.start_exec(r, SimTime::ZERO);
             }
         }
         if plain {
             // Budget- and checkpoint-free fast path: nothing between pop
             // and dispatch but the peak-queue statistic, with the
             // handlers monomorphized for the run's protocol and trace
-            // mode. A no-op after `run_fused` (the queue stays empty).
+            // mode.
             dispatch::pump_plain(self);
         } else {
             // Checkpoint cadence is measured from where *this* run
@@ -1263,6 +1281,18 @@ impl Engine {
             });
         }
         Ok(())
+    }
+
+    /// Reset the engine to the fresh pre-run state of its config, keeping
+    /// its buffers and trace mode, with the fused plan dropped so the next
+    /// `run_loop` replays through the event loop.
+    fn rebuild_for_replay(&mut self) {
+        let mut pools = EnginePools::new();
+        self.stow(&mut pools);
+        let mode = self.mode;
+        *self = Engine::scaffold(self.cfg.clone(), Some(&mut pools));
+        self.mode = mode;
+        self.fused = None;
     }
 
     /// Drive a fusion-eligible run to completion without the calendar.
@@ -1402,9 +1432,10 @@ impl Engine {
                                 self.ranks.injected[ri],
                                 self.ranks.noise_amt[ri],
                             ));
-                    self.finish[ri] = comm_end;
                 }
             }
+            // Kept in both modes: the post-run limit check reads it.
+            self.finish[ri] = comm_end;
             self.ranks.step[ri] = step + 1;
             if step + 1 == steps {
                 self.ranks.phase[ri] = Phase::Done;
@@ -1480,7 +1511,7 @@ impl Engine {
         format!("{verdict}\n{}", stuck.join("\n"))
     }
 
-    /// General-spec dispatch for the budgeted/checkpointed loop, which
+    /// General-spec dispatch for the limited/checkpointed loop, which
     /// cannot pin the protocol or trace mode at compile time.
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
         self.dispatch_ev::<dispatch::General>(now, ev);
@@ -2726,10 +2757,14 @@ mod tests {
         // Plain run: takes the fused path (no calendar traffic at all).
         let (fused, fused_stats) = Engine::new(cfg.clone()).run_with_stats();
         assert_eq!(fused_stats.peak_queue, 0, "fused runs skip the calendar");
-        // An event budget (far above the real count) forces the general
-        // loop without perturbing it.
+        // A checkpoint cadence that never fires forces the general loop
+        // without perturbing it.
+        let never = CheckpointPolicy {
+            every_sim_time: None,
+            every_events: Some(u64::MAX),
+        };
         let (general, general_stats) = Engine::new(cfg.clone())
-            .try_run_with_stats(&RunLimits::events(1_000_000))
+            .try_run_checkpointed(&RunLimits::none(), &never, |_| {})
             .expect("completes");
         assert!(
             general_stats.peak_queue > 0,
@@ -2743,10 +2778,51 @@ mod tests {
         assert_eq!(fused_stats.messages, general_stats.messages);
 
         // Summary mode folds the same records on both paths.
-        let (summary, _) = Engine::new(cfg)
+        let (summary, _) = Engine::new(cfg.clone())
             .try_run_summary(&RunLimits::none())
             .expect("completes");
         assert_eq!(summary, RunSummary::of_trace(&fused));
+        let mut e = Engine::new(cfg);
+        e.mode = TraceMode::Summary;
+        e.run_loop(&RunLimits::none(), &never, &mut |_| {})
+            .expect("completes");
+        let (general_summary, summary_stats) = e.take_summary();
+        assert!(
+            summary_stats.peak_queue > 0,
+            "general loop uses the calendar"
+        );
+        assert_eq!(general_summary, summary);
+    }
+
+    #[test]
+    fn tripped_limits_replay_through_the_general_loop() {
+        let cfg = fused_cfg(8);
+        let (trace, stats) = Engine::new(cfg.clone()).run_with_stats();
+        let runtime = trace.total_runtime();
+        let never = CheckpointPolicy {
+            every_sim_time: None,
+            every_events: Some(u64::MAX),
+        };
+        for limits in [
+            RunLimits::sim_time(SimTime(runtime.0 - 1)),
+            RunLimits::events(stats.events - 1),
+        ] {
+            let got = Engine::new(cfg.clone()).try_run_with_stats(&limits);
+            let want = Engine::new(cfg.clone()).try_run_checkpointed(&limits, &never, |_| {});
+            let err = got.expect_err("the limit binds");
+            assert!(matches!(err, SimError::Watchdog { .. }), "{err:?}");
+            assert_eq!(Err(err), want.map(|_| ()));
+        }
+        // At the boundary the limits hold, and the run stays fused.
+        let limits = RunLimits {
+            max_sim_time: Some(runtime),
+            max_events: Some(stats.events),
+        };
+        let (limited, limited_stats) = Engine::new(cfg)
+            .try_run_with_stats(&limits)
+            .expect("non-binding limits");
+        assert_eq!(limited, trace);
+        assert_eq!(limited_stats, stats);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub(crate) trait Spec {
 }
 
 /// Fallback spec with nothing pinned: behaves exactly like the
-/// unspecialized handlers. The budgeted/checkpointed loop uses it
+/// unspecialized handlers. The limited/checkpointed loop uses it
 /// unconditionally — checkpoint replay must not depend on which
 /// specialization the original run had.
 pub(crate) struct General;

@@ -87,14 +87,15 @@ pub struct BudgetReport {
     /// could dynamically overflow) or an estimate.
     pub events_exact: bool,
     /// Of `events_predicted`, how many the calendar queue actually
-    /// delivers. Zero when the plain run takes the fused fast path (the
-    /// whole cascade is computed without touching the calendar, and every
-    /// event is counted as elided); equal to `events_predicted` otherwise.
-    /// Budgeted, checkpointed, and restored runs always deliver the full
-    /// count regardless.
+    /// delivers. Zero when the run takes the fused fast path (the whole
+    /// cascade is computed without touching the calendar, and every event
+    /// is counted as elided); equal to `events_predicted` otherwise.
+    /// Checkpointed and restored runs, and limited runs that trip (they
+    /// replay through the event loop), always deliver the full count.
     pub events_delivered_predicted: u64,
-    /// Whether [`mpisim::fused_path_eligible`] holds, i.e. a plain
-    /// un-budgeted run of this config skips the event loop entirely.
+    /// Whether [`mpisim::fused_path_eligible`] holds, i.e. a fresh run of
+    /// this config without a checkpoint cadence skips the event loop
+    /// entirely unless one of its limits trips.
     pub fused: bool,
     /// Predicted peak event-queue occupancy (a safe upper estimate, used
     /// to pre-size the calendar queue).

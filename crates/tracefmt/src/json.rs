@@ -357,13 +357,20 @@ fn write_seq(
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so unbounded nesting would let a hostile
+/// document overflow the stack; real documents nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
     /// Parse a JSON document. The whole input must be consumed (trailing
-    /// whitespace allowed).
+    /// whitespace allowed), and arrays and objects may nest at most
+    /// [`MAX_DEPTH`] levels.
     pub fn parse(input: &str) -> Result<Json> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -378,6 +385,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -421,8 +430,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => err(format!(
                 "unexpected character '{}' at byte {}",
@@ -430,6 +439,20 @@ impl<'a> Parser<'a> {
             )),
             None => err("unexpected end of input"),
         }
+    }
+
+    /// Parse one array or object with `f`, one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json> {
@@ -825,6 +848,22 @@ mod tests {
         assert_eq!(Json::parse("2.5").unwrap(), Json::Float(2.5));
         assert_eq!(Json::parse("1e3").unwrap(), Json::Float(1000.0));
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::Str("hi".into()));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.0.contains("nesting deeper than 128 levels"), "{e}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Far past any stack: a structured error, not an overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

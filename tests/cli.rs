@@ -230,6 +230,25 @@ fn invalid_config_exits_3_with_a_json_error_record() {
 }
 
 #[test]
+fn deeply_nested_config_json_fails_cleanly() {
+    let dir = tmpdir("nested");
+    let path = dir.join("nested.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("write config");
+    let out = wavesim()
+        .args(["analyze", "--config"])
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // A clean non-zero exit with a named json error, not a signal (the
+    // stack-overflow abort exits 134 / SIGABRT).
+    assert!(matches!(out.status.code(), Some(c) if c != 0), "{stderr}");
+    assert!(!stderr.contains("overflowed its stack"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn sweep_subcommand_runs_resumes_and_reports() {
     let dir = tmpdir("sweep");
     let scenarios_path = dir.join("scenarios.json");

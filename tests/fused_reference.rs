@@ -3,7 +3,12 @@
 //! cascade whenever [`fused_path_eligible`] holds — is **bit-identical**
 //! to every other way of producing the same scenario:
 //!
-//! * the general event loop (forced by giving the run an event budget),
+//! * the general event loop (forced by a checkpoint cadence that never
+//!   fires: a budget no longer does, since limited runs fuse and check
+//!   their limits afterwards),
+//! * a limited run, whose limits are checked on the fused result and
+//!   which replays through the general loop only when one trips — so a
+//!   tripped limit reports exactly the general loop's error,
 //! * a checkpointed run resumed from any cut point (checkpointed and
 //!   restored engines always replay through the general loop, so every
 //!   cut is also a fused-vs-general cross-check),
@@ -19,7 +24,7 @@
 
 use idle_waves::mpisim::{
     fused_path_eligible, reference, CheckpointPolicy, Engine, FaultPlan, RunLimits, RunStats,
-    RunSummary, Snapshot,
+    RunSummary, SimError, Snapshot,
 };
 use idle_waves::prelude::*;
 
@@ -67,12 +72,21 @@ fn random_config(g: &mut Gen) -> SimConfig {
     cfg
 }
 
-/// Run the scenario through the general event loop: an event budget the
-/// run never reaches still disables the plain fast paths.
+/// A checkpoint cadence that never comes due: an active policy keeps the
+/// run off the fused cascade and the plain loop without perturbing it.
+const NEVER: CheckpointPolicy = CheckpointPolicy {
+    every_sim_time: None,
+    every_events: Some(u64::MAX),
+};
+
+/// Run the scenario through the general event loop under `limits`.
+fn general_limited(cfg: &SimConfig, limits: &RunLimits) -> Result<(Trace, RunStats), SimError> {
+    Engine::new(cfg.clone()).try_run_checkpointed(limits, &NEVER, |_| {})
+}
+
+/// Run the scenario through the general event loop.
 fn general_run(cfg: &SimConfig) -> (Trace, RunStats) {
-    Engine::new(cfg.clone())
-        .try_run_with_stats(&RunLimits::events(100_000_000))
-        .expect("general run completes under a non-binding budget")
+    general_limited(cfg, &RunLimits::none()).expect("general run completes")
 }
 
 #[test]
@@ -104,18 +118,70 @@ fn plain_runs_match_the_general_event_loop_bitwise() {
 }
 
 #[test]
+fn limited_runs_match_the_general_loop_at_every_trip_boundary() {
+    for_all("limits are checked on the fused run", 40, |g| {
+        let cfg = random_config(g);
+        let fused = fused_path_eligible(&cfg);
+        let (trace, stats) = general_run(&cfg);
+        let runtime = trace.total_runtime();
+        let times = [Some(SimTime(runtime.0 - 1)), Some(runtime), None];
+        let counts = [Some(stats.events - 1), Some(stats.events), None];
+        for max_sim_time in times {
+            for max_events in counts {
+                let limits = RunLimits {
+                    max_sim_time,
+                    max_events,
+                };
+                let want = general_limited(&cfg, &limits);
+                let got = Engine::new(cfg.clone()).try_run_with_stats(&limits);
+                let summary = Engine::new(cfg.clone()).try_run_summary(&limits);
+                match (&got, &want) {
+                    (Ok((t, s)), Ok((wt, ws))) => {
+                        assert_eq!(t, wt, "trace diverged under {limits:?}");
+                        let mut normalized = *ws;
+                        normalized.peak_queue = s.peak_queue;
+                        assert_eq!(*s, normalized, "stats diverged under {limits:?}");
+                        assert!(
+                            !fused || s.peak_queue == 0,
+                            "a non-binding limited run of an eligible config must fuse"
+                        );
+                        let (sum, _) = summary.expect("summary run completes too");
+                        assert_eq!(sum, RunSummary::of_trace(wt), "summary under {limits:?}");
+                    }
+                    (Err(e), Err(we)) => {
+                        assert_eq!(e, we, "error diverged under {limits:?}");
+                        assert_eq!(e.to_string(), we.to_string());
+                        assert_eq!(summary.expect_err("summary run trips too"), *we);
+                    }
+                    _ => panic!("outcome diverged under {limits:?}: {got:?} vs {want:?}"),
+                }
+                if fused {
+                    // Eligible runs trip exactly at the last event's time
+                    // and the semantic event count.
+                    let binding = max_sim_time == Some(SimTime(runtime.0 - 1))
+                        || max_events == Some(stats.events - 1);
+                    assert_eq!(want.is_err(), binding, "trip boundary under {limits:?}");
+                }
+            }
+        }
+    });
+}
+
+#[test]
 fn summary_folds_agree_across_paths_and_trace_modes() {
     for_all("summary digest is path-independent", 40, |g| {
         let cfg = random_config(g);
         let (fused_sum, _) = Engine::new(cfg.clone())
             .try_run_summary(&RunLimits::none())
             .expect("plain summary run completes");
-        let (general_sum, _) = Engine::new(cfg.clone())
+        // A non-binding budget: fused and checked afterwards when the
+        // config is eligible, the limited event loop otherwise.
+        let (limited_sum, _) = Engine::new(cfg.clone())
             .try_run_summary(&RunLimits::events(100_000_000))
-            .expect("general summary run completes");
+            .expect("limited summary run completes");
         let (full, _) = general_run(&cfg);
 
-        assert_eq!(fused_sum, general_sum, "summary diverged between paths");
+        assert_eq!(fused_sum, limited_sum, "summary diverged between paths");
         assert_eq!(
             fused_sum,
             RunSummary::of_trace(&full),
