@@ -38,6 +38,9 @@ impl ServeClient {
     /// Connect and consume the `hello` greeting.
     pub fn connect(addr: &str) -> io::Result<ServeClient> {
         let stream = TcpStream::connect(addr)?;
+        // Requests are written one line per write; Nagle would only
+        // delay them.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let mut client = ServeClient {
             reader: wire::LineReader::new(stream, wire::DEFAULT_MAX_LINE_BYTES),
@@ -64,8 +67,7 @@ impl ServeClient {
     /// Send one raw line, bypassing the typed layer — for tests that
     /// need to put malformed bytes on the wire.
     pub fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         self.writer.flush()
     }
 
@@ -431,6 +433,20 @@ mod tests {
         assert_eq!(fps.len(), 12, "per-request seeds must differ");
         assert_eq!(a[0].id, "load-000");
         assert_eq!(a[11].id, "load-011");
+    }
+
+    #[test]
+    fn the_client_socket_disables_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let greeter = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            wire::write_json_line(&mut stream, &Reply::Hello { serve_format: 1 }).expect("hello");
+        });
+        let client = ServeClient::connect(&addr).expect("connect");
+        greeter.join().expect("greeter");
+        assert_eq!(client.serve_format, 1);
+        assert!(client.writer.nodelay().expect("nodelay"));
     }
 
     #[test]

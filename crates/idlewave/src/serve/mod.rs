@@ -41,7 +41,7 @@ pub mod protocol;
 pub mod signals;
 
 use std::io;
-use std::net::TcpListener;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -142,10 +142,8 @@ struct Counters {
 struct Shared {
     sweep_opts: SweepOptions,
     queue: JobQueue,
+    /// The journal, which also answers `query`.
     journal: Mutex<Journal>,
-    /// Latest terminal record per scenario id (journal replay + this
-    /// lifetime), the `query` index.
-    results: Mutex<std::collections::BTreeMap<String, ScenarioResult>>,
     counters: Counters,
     draining: AtomicBool,
     next_job: AtomicU64,
@@ -153,6 +151,8 @@ struct Shared {
     retry_after: Duration,
     cache: Option<sweep::cache::ResultCache>,
     warnings: Mutex<Vec<String>>,
+    /// Where a self-connect reaches the listener (see [`wake_addr`]).
+    wake: SocketAddr,
 }
 
 impl Shared {
@@ -175,6 +175,31 @@ impl Shared {
     fn warn(&self, w: String) {
         self.warnings.lock().expect("warnings poisoned").push(w);
     }
+
+    /// Begin the drain and wake the blocking accept with a loopback
+    /// connection, which the accept loop drops unserved.
+    fn stop_accepting(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, STOP_POLL);
+    }
+}
+
+/// How often the accept watcher polls the caller's `shutdown` flag. A
+/// signal handler can only latch a flag, so this thread turns the latch
+/// into the accept wake-up; it also repeats a wake-up that went astray.
+const STOP_POLL: Duration = Duration::from_millis(20);
+
+/// The address a self-connect reaches a listener bound to `bound` at:
+/// an unspecified bind IP is reached over loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 fn zero_budget() -> PoolBudget {
@@ -229,11 +254,13 @@ pub fn run_serve(
         ..SweepOptions::default()
     };
 
+    let listener = TcpListener::bind(&opts.addr)?;
+    let bound = listener.local_addr()?;
+
     let shared = Arc::new(Shared {
         sweep_opts,
         queue: JobQueue::new(opts.queue_cap),
         journal: Mutex::new(journal),
-        results: Mutex::new(std::collections::BTreeMap::new()),
         counters: Counters::default(),
         draining: AtomicBool::new(false),
         next_job: AtomicU64::new(recovery.next_job),
@@ -241,18 +268,12 @@ pub fn run_serve(
         retry_after: opts.retry_after,
         cache,
         warnings: Mutex::new(warnings),
+        wake: wake_addr(bound),
     });
 
-    // Seed the query index with completed records (later lines win),
-    // then re-queue the restart obligations. Their results are fetched
-    // via `query` — the connections that submitted them died with the
+    // Re-queue the restart obligations. Their results are fetched via
+    // `query` — the connections that submitted them died with the
     // previous process.
-    {
-        let mut results = shared.results.lock().expect("results poisoned");
-        for r in recovery.completed {
-            results.insert(r.id.clone(), r);
-        }
-    }
     shared
         .counters
         .recovered
@@ -277,31 +298,24 @@ pub fn run_serve(
         workers.push(std::thread::spawn(move || worker(&shared)));
     }
 
-    let listener = TcpListener::bind(&opts.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?.to_string();
+    let addr = bound.to_string();
     on_ready(&addr);
 
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        if shutdown.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                let max_line = opts.max_line_bytes;
-                conns.push(std::thread::spawn(move || {
-                    connection(&shared, stream, max_line);
-                }));
+    let accepting = AtomicBool::new(true);
+    let accepted = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while accepting.load(Ordering::SeqCst) {
+                if shutdown.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst) {
+                    shared.stop_accepting();
+                }
+                std::thread::sleep(STOP_POLL);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                conns.retain(|h| !h.is_finished());
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => return Err(e),
-        }
-    }
+        });
+        let accepted = accept_loop(&listener, &shared, opts.max_line_bytes, &mut conns);
+        accepting.store(false, Ordering::SeqCst);
+        accepted
+    });
 
     // Graceful drain: no new connections (loop exited), no new
     // admissions (flag + closed queue), everything already admitted
@@ -314,6 +328,7 @@ pub fn run_serve(
     for c in conns {
         let _ = c.join();
     }
+    accepted?;
 
     let stats = shared.stats();
     let shared = Arc::try_unwrap(shared)
@@ -325,6 +340,28 @@ pub fn run_serve(
         stats,
         warnings,
     })
+}
+
+/// Accept connections until a stop is requested (see
+/// [`Shared::stop_accepting`]), one thread per connection.
+fn accept_loop(
+    listener: &TcpListener,
+    shared: &Arc<Shared>,
+    max_line: usize,
+    conns: &mut Vec<std::thread::JoinHandle<()>>,
+) -> io::Result<()> {
+    for stream in listener.incoming() {
+        if shared.draining.load(Ordering::SeqCst) {
+            break;
+        }
+        let stream = stream?;
+        conns.retain(|h| !h.is_finished());
+        let shared = Arc::clone(shared);
+        conns.push(std::thread::spawn(move || {
+            connection(&shared, stream, max_line);
+        }));
+    }
+    Ok(())
 }
 
 /// One worker: drain the queue to terminal, journaled records.
@@ -347,29 +384,21 @@ fn worker(shared: &Shared) {
             run_job(shared, &job, &pool)
         };
         // The journal write is best-effort *here* (the result is already
-        // earned and the client still gets it); a failure is surfaced as
-        // a warning and the job simply re-runs after a restart.
-        if let Err(e) =
-            shared
-                .journal
-                .lock()
-                .expect("journal poisoned")
-                .append(&JournalRecord::Done {
-                    job: job.job,
-                    result: result.clone(),
-                })
-        {
+        // earned, the client still gets it, and `query` answers it from
+        // memory); a failure is surfaced as a warning and the job simply
+        // re-runs after a restart.
+        let journaled = shared
+            .journal
+            .lock()
+            .expect("journal poisoned")
+            .complete(job.job, &result);
+        if let Err(e) = journaled {
             shared.warn(format!(
                 "job {} ('{}'): journal append failed ({e}); the job will re-run \
                  if the service restarts",
                 job.job, result.id
             ));
         }
-        shared
-            .results
-            .lock()
-            .expect("results poisoned")
-            .insert(result.id.clone(), result.clone());
         let counter = if result.status == ScenarioStatus::Cancelled {
             &shared.counters.cancelled
         } else {
@@ -431,9 +460,12 @@ fn run_job(shared: &Shared, job: &Job, pool: &sweep::PoolSlot) -> ScenarioResult
 /// thread serializing all replies — the reader's synchronous answers and
 /// every in-flight job's eventual `result` — onto the socket.
 fn connection(shared: &Arc<Shared>, stream: std::net::TcpStream, max_line: usize) {
-    // The reader polls so it can notice a drain without client traffic.
+    // Replies go out as soon as they are written (one write per line,
+    // see `wire::write_json_line`); the reader polls so it can notice a
+    // drain without client traffic.
     if stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
+        .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(Some(Duration::from_millis(50))))
         .is_err()
     {
         return;
@@ -515,16 +547,11 @@ fn handle_request(
             let _ = tx.send(Reply::Stats(shared.stats()));
         }
         Request::Drain => {
-            shared.draining.store(true, Ordering::SeqCst);
+            shared.stop_accepting();
             let _ = tx.send(Reply::Draining);
         }
         Request::Query { id } => {
-            let found = shared
-                .results
-                .lock()
-                .expect("results poisoned")
-                .get(&id)
-                .cloned();
+            let found = shared.journal.lock().expect("journal poisoned").lookup(&id);
             let _ = tx.send(match found {
                 Some(record) => Reply::Result { record },
                 None => Reply::NoResult { id },
@@ -615,4 +642,87 @@ fn submit(
         reply: Some(tx.clone()),
         scenario,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use client::{loadgen_scenarios, ServeClient};
+
+    /// Serve from `dir` on a background thread until a `drain` request.
+    fn start(dir: &std::path::Path) -> (String, std::thread::JoinHandle<io::Result<ServeReport>>) {
+        let opts = ServeOptions {
+            dir: dir.to_path_buf(),
+            threads: 1,
+            ..ServeOptions::default()
+        };
+        let (tx, rx) = mpsc::channel();
+        let join = std::thread::spawn(move || {
+            run_serve(&opts, &AtomicBool::new(false), |addr| {
+                let _ = tx.send(addr.to_string());
+            })
+        });
+        let addr = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("server ready");
+        (addr, join)
+    }
+
+    fn run(client: &mut ServeClient, scenario: &Scenario) -> ScenarioResult {
+        client
+            .send(&Request::Submit(Box::new(scenario.clone())))
+            .expect("submit");
+        loop {
+            match client.next_reply().expect("reply") {
+                Reply::Accepted { .. } => {}
+                Reply::Result { record } => return record,
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn query_answers_latest_records_across_a_drain_and_restart() {
+        let dir = std::env::temp_dir().join(format!("wavesim-serve-query-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let suite = loadgen_scenarios(3, 4, 2);
+
+        let (addr, server) = start(&dir);
+        let mut client = ServeClient::connect(&addr).expect("connect");
+        let mut want: Vec<ScenarioResult> = suite.iter().map(|s| run(&mut client, s)).collect();
+        // Resubmit id 0 with id 2's configuration: its record changes,
+        // and `query` must answer with the newer one.
+        let mut again = suite[2].clone();
+        again.id = suite[0].id.clone();
+        want[0] = run(&mut client, &again);
+        assert_ne!(want[0].config_fingerprint, want[1].config_fingerprint);
+        assert_eq!(want[0].config_fingerprint, want[2].config_fingerprint);
+        for w in &want {
+            assert_eq!(client.query(&w.id).expect("query").as_ref(), Some(w));
+        }
+        client.drain().expect("drain");
+        drop(client);
+        server.join().expect("server thread").expect("serve");
+
+        let (addr, server) = start(&dir);
+        let mut client = ServeClient::connect(&addr).expect("reconnect");
+        for w in &want {
+            let got = client.query(&w.id).expect("query after restart");
+            assert_eq!(got.as_ref(), Some(w), "{}", w.id);
+        }
+        assert_eq!(client.query("never-submitted").expect("query"), None);
+        client.drain().expect("drain");
+        drop(client);
+        let report = server.join().expect("server thread").expect("serve");
+        assert!(report.warnings.is_empty(), "{:?}", report.warnings);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unspecified_bind_ip_is_woken_over_loopback() {
+        let wake = |s: &str| wake_addr(s.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:4000"), "127.0.0.1:4000");
+        assert_eq!(wake("[::]:4000"), "[::1]:4000");
+        assert_eq!(wake("10.1.2.3:4000"), "10.1.2.3:4000");
+    }
 }

@@ -58,6 +58,9 @@ impl std::fmt::Display for LineError {
 pub struct LineReader<R: Read> {
     inner: R,
     buf: VecDeque<u8>,
+    /// Leading bytes of `buf` already searched for a newline: a long
+    /// line arriving in many reads is scanned once, not once per read.
+    scanned: usize,
     limit: usize,
     /// When set, the current (over-limit) line is being discarded up to
     /// its terminating newline.
@@ -72,6 +75,7 @@ impl<R: Read> LineReader<R> {
         LineReader {
             inner,
             buf: VecDeque::new(),
+            scanned: 0,
             limit: limit.max(1),
             discarding: false,
             eof: false,
@@ -88,16 +92,19 @@ impl<R: Read> LineReader<R> {
     pub fn next_line(&mut self) -> io::Result<Option<Result<String, LineError>>> {
         loop {
             // Serve from the buffer first.
-            if self.discarding {
-                match self.buf.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        self.buf.drain(..=pos);
-                        self.discarding = false;
-                        return Ok(Some(Err(LineError::Oversized { limit: self.limit })));
-                    }
-                    None => self.buf.clear(),
+            let newline = self
+                .buf
+                .range(self.scanned..)
+                .position(|&b| b == b'\n')
+                .map(|pos| self.scanned + pos);
+            self.scanned = self.buf.len();
+            if let Some(pos) = newline {
+                self.scanned = 0;
+                if self.discarding {
+                    self.buf.drain(..=pos);
+                    self.discarding = false;
+                    return Ok(Some(Err(LineError::Oversized { limit: self.limit })));
                 }
-            } else if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
                 let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
                 line.pop(); // the newline
                 if line.last() == Some(&b'\r') {
@@ -110,10 +117,12 @@ impl<R: Read> LineReader<R> {
                     Ok(text) => Ok(text),
                     Err(_) => Err(LineError::NotUtf8),
                 }));
-            } else if self.buf.len() > self.limit {
-                // No newline yet and already over the limit: switch to
-                // discard mode so the buffer stays bounded.
+            }
+            if self.discarding || self.buf.len() > self.limit {
+                // No newline yet: a line already over the limit is
+                // discarded as it arrives, so the buffer stays bounded.
                 self.buf.clear();
+                self.scanned = 0;
                 self.discarding = true;
             }
             if self.eof {
@@ -131,9 +140,15 @@ impl<R: Read> LineReader<R> {
 
 /// Serialize `value` as one JSON line and flush it, so the peer sees the
 /// record immediately (the protocol is request/reply, not batched).
+///
+/// The line and its newline go out in a single `write_all`: split
+/// across two writes on a socket, Nagle's algorithm can hold the short
+/// newline segment until the peer's delayed ACK, adding that wait to
+/// every reply.
 pub fn write_json_line<W: Write, T: ToJson + ?Sized>(w: &mut W, value: &T) -> io::Result<()> {
-    w.write_all(json::to_string(value).as_bytes())?;
-    w.write_all(b"\n")?;
+    let mut line = json::to_string(value);
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
     w.flush()
 }
 
@@ -268,5 +283,71 @@ mod tests {
         let v = Json::obj(vec![("type", Json::Str("ping".into()))]);
         write_json_line(&mut out, &v).expect("vec write cannot fail");
         assert_eq!(out, b"{\"type\":\"ping\"}\n");
+    }
+
+    #[test]
+    fn write_json_line_makes_one_write_call_per_line() {
+        #[derive(Default)]
+        struct Counting {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Counting::default();
+        let v = Json::obj(vec![("type", Json::Str("pong".into()))]);
+        for n in 1..=3 {
+            write_json_line(&mut out, &v).expect("counting write cannot fail");
+            assert_eq!(out.writes, n, "one write per line");
+        }
+        assert_eq!(out.bytes, b"{\"type\":\"pong\"}\n".repeat(3));
+    }
+
+    /// A reader handing out `data` in reads of at most `chunk` bytes.
+    struct Fixed {
+        data: Vec<u8>,
+        at: usize,
+        chunk: usize,
+    }
+
+    impl Read for Fixed {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.chunk.min(out.len()).min(self.data.len() - self.at);
+            out[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn lines_near_the_limit_frame_in_linear_time() {
+        // Rescanning the whole buffer after every read would make the
+        // 1-byte-chunk runs here cost ~10^12 byte compares.
+        let limit = DEFAULT_MAX_LINE_BYTES;
+        for chunk in [1, 4096] {
+            for (len, want) in [
+                (limit - 1, Ok("x".repeat(limit - 1))),
+                (limit + 1, Err(LineError::Oversized { limit })),
+            ] {
+                let mut data = vec![b'x'; len];
+                data.extend(b"\nnext\n");
+                let mut r = LineReader::new(Fixed { data, at: 0, chunk }, limit);
+                let mut got = Vec::new();
+                while let Some(line) = r.next_line().expect("fixed reader never errors") {
+                    got.push(line);
+                }
+                assert_eq!(got.len(), 2, "chunk {chunk}, line of {len} bytes");
+                assert!(got[0] == want, "chunk {chunk}, line of {len} bytes");
+                assert_eq!(got[1], Ok("next".into()), "chunk {chunk}");
+            }
+        }
     }
 }

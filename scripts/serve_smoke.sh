@@ -6,7 +6,9 @@
 # Part 1 (drain + restart): start a server, push a loadgen population
 # through it, SIGTERM it (must exit 0 after a clean drain), restart it
 # over the same state directory, and read every record back over `query`
-# — the recovered file must be byte-identical to the first run's.
+# — the recovered file must be byte-identical to the first run's. Then
+# resubmit half the population and query everything again, before and
+# after another restart: still byte-identical.
 #
 # Part 2 (SIGKILL recovery): submit the population to a fresh
 # single-worker server, SIGKILL it as soon as the journal proves the
@@ -93,11 +95,30 @@ drain_server
 start_server "$WORK/state" --threads 2 --fsync
 "$WAVESIM" loadgen --addr "$ADDR" --requests 12 --connections 3 \
     --query --out "$WORK/restarted.jsonl" --quiet
-drain_server
 if ! diff -u "$WORK/control.jsonl" "$WORK/restarted.jsonl"; then
     echo "serve smoke: FAIL — records after restart differ from control"
     exit 1
 fi
+
+# Resubmit the first half of the population: `query` now answers those
+# ids from this lifetime's journal lines and the rest from the replayed
+# ones, and must still return the control bytes for every id — before
+# and after one more drain and restart.
+"$WAVESIM" loadgen --addr "$ADDR" --requests 6 --connections 2 \
+    --out "$WORK/resubmitted.jsonl" --quiet
+"$WAVESIM" loadgen --addr "$ADDR" --requests 12 --connections 3 \
+    --query --out "$WORK/requeried.jsonl" --quiet
+drain_server
+start_server "$WORK/state" --threads 2 --fsync
+"$WAVESIM" loadgen --addr "$ADDR" --requests 12 --connections 3 \
+    --query --out "$WORK/rereplayed.jsonl" --quiet
+drain_server
+for f in requeried rereplayed; do
+    if ! diff -u "$WORK/control.jsonl" "$WORK/$f.jsonl"; then
+        echo "serve smoke: FAIL — $f records after resubmission differ from control"
+        exit 1
+    fi
+done
 echo "drain-restart smoke: OK"
 
 echo "== SIGKILL mid-work, journal recovery"

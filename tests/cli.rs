@@ -803,6 +803,30 @@ fn serve_replies_with_structured_errors_and_keeps_serving() {
 }
 
 #[test]
+fn serve_answers_a_deeply_nested_line_and_keeps_serving() {
+    use idle_waves::idlewave::serve::client::ServeClient;
+    use idle_waves::idlewave::serve::protocol::Reply;
+
+    let dir = tmpdir("serve-nested");
+    let (server, addr) = spawn_serve(&dir.join("state"), &[]);
+    let mut client = ServeClient::connect(&addr).expect("connect");
+
+    // Under the default 1 MiB line bound, so it reaches the JSON parser:
+    // unbounded recursion there would overflow the server's stack.
+    client.send_raw(&"[".repeat(200_000)).expect("send");
+    match client.next_reply().expect("reply") {
+        Reply::Error { error } => assert!(error.contains("nesting"), "{error}"),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    assert_eq!(client.ping(3).expect("same connection still serves"), 3);
+    let mut fresh = ServeClient::connect(&addr).expect("a new connection gets hello");
+    assert_eq!(fresh.ping(4).expect("ping"), 4);
+    drop((client, fresh));
+    assert_eq!(server.terminate(), Some(0), "drain must exit 0");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn serve_survives_a_mid_line_disconnect() {
     use idle_waves::idlewave::serve::client::ServeClient;
     use std::io::Write;
