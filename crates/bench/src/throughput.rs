@@ -39,7 +39,7 @@ use idlewave::sweep::{run_sweep, SweepOptions, SweepReport};
 use mpisim::{try_run_summary_pooled, Engine, EnginePools, RunLimits, RunSummary, SimConfig};
 use simdes::SimDuration;
 use tracefmt::fnv1a_64;
-use tracefmt::json::{self, FromJson, Json, JsonError, ToJson};
+use tracefmt::json::{self, ToJson};
 
 use crate::harness;
 use crate::Scale;
@@ -547,139 +547,57 @@ fn per_sec(count: u64, elapsed: Duration) -> f64 {
     count as f64 / secs
 }
 
-impl ToJson for ScenarioResult {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", self.name.to_json()),
-            ("ranks", self.ranks.to_json()),
-            ("steps", self.steps.to_json()),
-            ("events", self.events.to_json()),
-            ("iters", self.iters.to_json()),
-            ("min_ns", self.min_ns.to_json()),
-            ("mean_ns", self.mean_ns.to_json()),
-            ("events_per_sec", self.events_per_sec.to_json()),
-            ("fingerprint", self.fingerprint.to_json()),
-        ])
+tracefmt::json_codec! {
+    struct ScenarioResult {
+        name,
+        ranks,
+        steps,
+        events,
+        iters,
+        min_ns,
+        mean_ns,
+        events_per_sec,
+        fingerprint,
     }
 }
 
-impl FromJson for ScenarioResult {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(ScenarioResult {
-            name: String::from_json(v.field("name")?)?,
-            ranks: u32::from_json(v.field("ranks")?)?,
-            steps: u32::from_json(v.field("steps")?)?,
-            events: u64::from_json(v.field("events")?)?,
-            iters: u32::from_json(v.field("iters")?)?,
-            min_ns: u64::from_json(v.field("min_ns")?)?,
-            mean_ns: u64::from_json(v.field("mean_ns")?)?,
-            events_per_sec: f64::from_json(v.field("events_per_sec")?)?,
-            fingerprint: u64::from_json(v.field("fingerprint")?)?,
-        })
+tracefmt::json_codec! {
+    struct SweepResult {
+        name,
+        scenarios,
+        threads,
+        shards,
+        iters,
+        min_ns,
+        mean_ns,
+        scenarios_per_sec,
+        cache_hits,
+        report_fnv,
     }
 }
 
-impl ToJson for SweepResult {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", self.name.to_json()),
-            ("scenarios", self.scenarios.to_json()),
-            ("threads", self.threads.to_json()),
-            ("shards", self.shards.to_json()),
-            ("iters", self.iters.to_json()),
-            ("min_ns", self.min_ns.to_json()),
-            ("mean_ns", self.mean_ns.to_json()),
-            ("scenarios_per_sec", self.scenarios_per_sec.to_json()),
-            ("cache_hits", self.cache_hits.to_json()),
-            ("report_fnv", self.report_fnv.to_json()),
-        ])
+tracefmt::json_codec! {
+    struct ServeResult {
+        name,
+        requests,
+        threads,
+        iters,
+        min_ns,
+        mean_ns,
+        requests_per_sec,
+        cache_hits,
+        result_fnv,
     }
 }
 
-impl FromJson for SweepResult {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(SweepResult {
-            name: String::from_json(v.field("name")?)?,
-            scenarios: u32::from_json(v.field("scenarios")?)?,
-            threads: u32::from_json(v.field("threads")?)?,
-            shards: u32::from_json(v.field("shards")?)?,
-            iters: u32::from_json(v.field("iters")?)?,
-            min_ns: u64::from_json(v.field("min_ns")?)?,
-            mean_ns: u64::from_json(v.field("mean_ns")?)?,
-            scenarios_per_sec: f64::from_json(v.field("scenarios_per_sec")?)?,
-            cache_hits: u64::from_json(v.field("cache_hits")?)?,
-            report_fnv: u64::from_json(v.field("report_fnv")?)?,
-        })
-    }
-}
-
-impl ToJson for ServeResult {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", self.name.to_json()),
-            ("requests", self.requests.to_json()),
-            ("threads", self.threads.to_json()),
-            ("iters", self.iters.to_json()),
-            ("min_ns", self.min_ns.to_json()),
-            ("mean_ns", self.mean_ns.to_json()),
-            ("requests_per_sec", self.requests_per_sec.to_json()),
-            ("cache_hits", self.cache_hits.to_json()),
-            ("result_fnv", self.result_fnv.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ServeResult {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(ServeResult {
-            name: String::from_json(v.field("name")?)?,
-            requests: u32::from_json(v.field("requests")?)?,
-            threads: u32::from_json(v.field("threads")?)?,
-            iters: u32::from_json(v.field("iters")?)?,
-            min_ns: u64::from_json(v.field("min_ns")?)?,
-            mean_ns: u64::from_json(v.field("mean_ns")?)?,
-            requests_per_sec: f64::from_json(v.field("requests_per_sec")?)?,
-            cache_hits: u64::from_json(v.field("cache_hits")?)?,
-            result_fnv: u64::from_json(v.field("result_fnv")?)?,
-        })
-    }
-}
-
-impl ToJson for BenchReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", SCHEMA.to_json()),
-            ("version", SCHEMA_VERSION.to_json()),
-            ("label", self.label.to_json()),
-            ("scenarios", self.scenarios.to_json()),
-            ("sweeps", self.sweeps.to_json()),
-            ("serve", self.serve.to_json()),
-        ])
-    }
-}
-
-impl FromJson for BenchReport {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let schema = String::from_json(v.field("schema")?)?;
-        if schema != SCHEMA {
-            return Err(JsonError(format!(
-                "not a {SCHEMA} report (schema field is '{schema}')"
-            )));
-        }
-        let version = u64::from_json(v.field("version")?)?;
-        if version != SCHEMA_VERSION {
-            return Err(JsonError(format!(
-                "unsupported bench schema version {version} (this build reads {SCHEMA_VERSION})"
-            )));
-        }
-        Ok(BenchReport {
-            label: String::from_json(v.field("label")?)?,
-            scenarios: Vec::<ScenarioResult>::from_json(v.field("scenarios")?)?,
-            // Absent in BENCH files written before the sweep fabric.
-            sweeps: json::field_or_default(v, "sweeps")?,
-            // Absent in BENCH files written before the scenario service.
-            serve: json::field_or_default(v, "serve")?,
-        })
+// `sweeps` and `serve` are absent in BENCH files written before the sweep
+// fabric and the scenario service.
+tracefmt::json_codec! {
+    struct BenchReport [schema = SCHEMA, version = SCHEMA_VERSION] {
+        label,
+        scenarios,
+        sweeps = Vec::new(),
+        serve = Vec::new(),
     }
 }
 

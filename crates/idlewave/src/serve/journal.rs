@@ -28,7 +28,7 @@ use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use tracefmt::fnv1a_64;
-use tracefmt::json::{self, FromJson, Json, ToJson};
+use tracefmt::json::{FromJson, Json, ToJson};
 
 use crate::sweep::{Scenario, ScenarioResult};
 
@@ -54,36 +54,10 @@ pub(crate) enum JournalRecord {
     },
 }
 
-impl JournalRecord {
-    fn rec_json(&self) -> Json {
-        match self {
-            JournalRecord::Job { job, scenario } => Json::obj(vec![
-                ("type", Json::Str("job".into())),
-                ("job", job.to_json()),
-                ("scenario", scenario.to_json()),
-            ]),
-            JournalRecord::Done { job, result } => Json::obj(vec![
-                ("type", Json::Str("done".into())),
-                ("job", job.to_json()),
-                ("result", result.to_json()),
-            ]),
-        }
-    }
-
-    fn from_rec_json(v: &Json) -> json::Result<JournalRecord> {
-        let ty = v.field("type")?.expect_str()?;
-        let job = v.field("job")?.expect_u64()?;
-        Ok(match ty {
-            "job" => JournalRecord::Job {
-                job,
-                scenario: Scenario::from_json(v.field("scenario")?)?,
-            },
-            "done" => JournalRecord::Done {
-                job,
-                result: ScenarioResult::from_json(v.field("result")?)?,
-            },
-            other => return Err(json::JsonError(format!("unknown journal record '{other}'"))),
-        })
+tracefmt::json_codec! {
+    enum JournalRecord in "type" {
+        Job { job, scenario } = "job",
+        Done { job, result } = "done",
     }
 }
 
@@ -160,7 +134,7 @@ impl Journal {
     /// caller acknowledges anything downstream of it. Returns the byte
     /// offset the record's line starts at.
     pub(crate) fn append(&mut self, record: &JournalRecord) -> io::Result<u64> {
-        let rec = record.rec_json();
+        let rec = record.to_json();
         let digest = fnv1a_64(rec.dump().as_bytes());
         let mut line = Json::obj(vec![
             ("journal_format", JOURNAL_FORMAT.to_json()),
@@ -258,7 +232,7 @@ fn decode_line(line: &[u8]) -> Result<JournalRecord, String> {
     if fnv1a_64(body.dump().as_bytes()) != digest {
         return Err("digest mismatch".to_string());
     }
-    JournalRecord::from_rec_json(body).map_err(|e| e.0)
+    JournalRecord::from_json(body).map_err(|e| e.0)
 }
 
 /// Lenient, digest-checking replay of the journal bytes: the recovery

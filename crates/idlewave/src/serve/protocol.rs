@@ -17,7 +17,7 @@
 //! oversized, or unknown line gets a structured `error` record and the
 //! connection keeps serving (see `docs/SERVE.md`).
 
-use tracefmt::json::{self, FromJson, Json, JsonError, ToJson};
+use tracefmt::json::{FromJson, Json, JsonError};
 
 use crate::sweep::{Scenario, ScenarioResult};
 
@@ -49,52 +49,16 @@ pub enum Request {
 /// `error` reply.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = Json::parse(line).map_err(|JsonError(e)| format!("malformed JSON: {e}"))?;
-    let ty = v
-        .get("type")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "record has no \"type\" field".to_string())?;
-    match ty {
-        "submit" => {
-            let s = v
-                .field("scenario")
-                .and_then(Scenario::from_json)
-                .map_err(|JsonError(e)| format!("bad scenario in submit: {e}"))?;
-            Ok(Request::Submit(Box::new(s)))
-        }
-        "query" => {
-            let id = v
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "query has no \"id\" field".to_string())?;
-            Ok(Request::Query { id: id.to_string() })
-        }
-        "ping" => Ok(Request::Ping {
-            nonce: v.get("nonce").and_then(Json::as_u64).unwrap_or(0),
-        }),
-        "stats" => Ok(Request::Stats),
-        "drain" => Ok(Request::Drain),
-        other => Err(format!("unknown record type '{other}'")),
-    }
+    Request::from_json(&v).map_err(|JsonError(e)| e)
 }
 
-impl ToJson for Request {
-    fn to_json(&self) -> Json {
-        match self {
-            Request::Submit(s) => Json::obj(vec![
-                ("type", Json::Str("submit".into())),
-                ("scenario", s.to_json()),
-            ]),
-            Request::Query { id } => Json::obj(vec![
-                ("type", Json::Str("query".into())),
-                ("id", Json::Str(id.clone())),
-            ]),
-            Request::Ping { nonce } => Json::obj(vec![
-                ("type", Json::Str("ping".into())),
-                ("nonce", nonce.to_json()),
-            ]),
-            Request::Stats => Json::obj(vec![("type", Json::Str("stats".into()))]),
-            Request::Drain => Json::obj(vec![("type", Json::Str("drain".into()))]),
-        }
+tracefmt::json_codec! {
+    enum Request in "type" {
+        Submit(scenario) = "submit",
+        Query { id } = "query",
+        Ping { nonce = 0 } = "ping",
+        Stats = "stats",
+        Drain = "drain",
     }
 }
 
@@ -125,39 +89,19 @@ pub struct StatsBody {
     pub draining: bool,
 }
 
-impl ToJson for StatsBody {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("accepted", self.accepted.to_json()),
-            ("rejected", self.rejected.to_json()),
-            ("shed", self.shed.to_json()),
-            ("completed", self.completed.to_json()),
-            ("cancelled", self.cancelled.to_json()),
-            ("recovered", self.recovered.to_json()),
-            ("cache_hits", self.cache_hits.to_json()),
-            ("cache_misses", self.cache_misses.to_json()),
-            ("queued", self.queued.to_json()),
-            ("inflight", self.inflight.to_json()),
-            ("draining", Json::Bool(self.draining)),
-        ])
-    }
-}
-
-impl FromJson for StatsBody {
-    fn from_json(v: &Json) -> json::Result<StatsBody> {
-        Ok(StatsBody {
-            accepted: v.field("accepted")?.expect_u64()?,
-            rejected: v.field("rejected")?.expect_u64()?,
-            shed: v.field("shed")?.expect_u64()?,
-            completed: v.field("completed")?.expect_u64()?,
-            cancelled: v.field("cancelled")?.expect_u64()?,
-            recovered: v.field("recovered")?.expect_u64()?,
-            cache_hits: v.field("cache_hits")?.expect_u64()?,
-            cache_misses: v.field("cache_misses")?.expect_u64()?,
-            queued: v.field("queued")?.expect_u64()?,
-            inflight: v.field("inflight")?.expect_u64()?,
-            draining: v.field("draining")?.expect_bool()?,
-        })
+tracefmt::json_codec! {
+    struct StatsBody {
+        accepted,
+        rejected,
+        shed,
+        completed,
+        cancelled,
+        recovered,
+        cache_hits,
+        cache_misses,
+        queued,
+        inflight,
+        draining,
     }
 }
 
@@ -227,107 +171,18 @@ pub enum Reply {
     },
 }
 
-impl ToJson for Reply {
-    fn to_json(&self) -> Json {
-        let t = |s: &str| Json::Str(s.to_string());
-        match self {
-            Reply::Hello { serve_format } => Json::obj(vec![
-                ("type", t("hello")),
-                ("serve_format", serve_format.to_json()),
-            ]),
-            Reply::Accepted { id, job, queued } => Json::obj(vec![
-                ("type", t("accepted")),
-                ("id", Json::Str(id.clone())),
-                ("job", job.to_json()),
-                ("queued", queued.to_json()),
-            ]),
-            Reply::Rejected {
-                id,
-                error,
-                diagnostics,
-            } => Json::obj(vec![
-                ("type", t("rejected")),
-                ("id", Json::Str(id.clone())),
-                ("error", Json::Str(error.clone())),
-                ("diagnostics", Json::Array(diagnostics.clone())),
-            ]),
-            Reply::Overloaded {
-                id,
-                queued,
-                capacity,
-                retry_after_ms,
-                diagnostics,
-            } => Json::obj(vec![
-                ("type", t("overloaded")),
-                ("id", Json::Str(id.clone())),
-                ("queued", queued.to_json()),
-                ("capacity", capacity.to_json()),
-                ("retry_after_ms", retry_after_ms.to_json()),
-                ("diagnostics", Json::Array(diagnostics.clone())),
-            ]),
-            Reply::Result { record } => {
-                Json::obj(vec![("type", t("result")), ("record", record.to_json())])
-            }
-            Reply::NoResult { id } => Json::obj(vec![
-                ("type", t("no-result")),
-                ("id", Json::Str(id.clone())),
-            ]),
-            Reply::Pong { nonce } => {
-                Json::obj(vec![("type", t("pong")), ("nonce", nonce.to_json())])
-            }
-            Reply::Stats(body) => Json::obj(vec![("type", t("stats")), ("stats", body.to_json())]),
-            Reply::Draining => Json::obj(vec![("type", t("draining"))]),
-            Reply::Error { error } => Json::obj(vec![
-                ("type", t("error")),
-                ("error", Json::Str(error.clone())),
-            ]),
-        }
-    }
-}
-
-impl FromJson for Reply {
-    fn from_json(v: &Json) -> json::Result<Reply> {
-        let ty = v
-            .field("type")
-            .and_then(|t| t.expect_str())
-            .map_err(|JsonError(e)| JsonError(format!("reply type: {e}")))?;
-        Ok(match ty {
-            "hello" => Reply::Hello {
-                serve_format: v.field("serve_format")?.expect_u64()?,
-            },
-            "accepted" => Reply::Accepted {
-                id: v.field("id")?.expect_str()?.to_string(),
-                job: v.field("job")?.expect_u64()?,
-                queued: v.field("queued")?.expect_u64()?,
-            },
-            "rejected" => Reply::Rejected {
-                id: v.field("id")?.expect_str()?.to_string(),
-                error: v.field("error")?.expect_str()?.to_string(),
-                diagnostics: v.field("diagnostics")?.expect_array()?.to_vec(),
-            },
-            "overloaded" => Reply::Overloaded {
-                id: v.field("id")?.expect_str()?.to_string(),
-                queued: v.field("queued")?.expect_u64()?,
-                capacity: v.field("capacity")?.expect_u64()?,
-                retry_after_ms: v.field("retry_after_ms")?.expect_u64()?,
-                diagnostics: v.field("diagnostics")?.expect_array()?.to_vec(),
-            },
-            "result" => Reply::Result {
-                record: ScenarioResult::from_json(v.field("record")?)?,
-            },
-            "no-result" => Reply::NoResult {
-                id: v.field("id")?.expect_str()?.to_string(),
-            },
-            "pong" => Reply::Pong {
-                nonce: v.field("nonce")?.expect_u64()?,
-            },
-            "stats" => Reply::Stats(StatsBody::from_json(v.field("stats")?)?),
-            "draining" => Reply::Draining,
-            "error" => Reply::Error {
-                error: v.field("error")?.expect_str()?.to_string(),
-            },
-            other => return Err(JsonError(format!("unknown reply type '{other}'"))),
-        })
+tracefmt::json_codec! {
+    enum Reply in "type" {
+        Hello { serve_format } = "hello",
+        Accepted { id, job, queued } = "accepted",
+        Rejected { id, error, diagnostics } = "rejected",
+        Overloaded { id, queued, capacity, retry_after_ms, diagnostics } = "overloaded",
+        Result { record } = "result",
+        NoResult { id } = "no-result",
+        Pong { nonce } = "pong",
+        Stats(stats) = "stats",
+        Draining = "draining",
+        Error { error } = "error",
     }
 }
 
@@ -337,6 +192,7 @@ mod tests {
     use crate::sweep::{RunSummary, ScenarioStatus};
     use mpisim::SimConfig;
     use netmodel::presets;
+    use tracefmt::json;
     use workload::{Boundary, CommPattern, Direction};
 
     fn scenario() -> Scenario {
@@ -378,11 +234,19 @@ mod tests {
         assert!(
             parse_request("{\"type\":\"submit\",\"scenario\":{\"id\":3}}")
                 .expect_err("bad scenario")
-                .contains("bad scenario")
+                .contains("Request::Submit.scenario: Scenario.id: expected string")
         );
         assert!(parse_request("{\"type\":\"query\"}")
             .expect_err("query without id")
-            .contains("no \"id\""));
+            .contains("missing key 'id' in Request::Query"));
+        assert_eq!(
+            parse_request("{\"type\":\"ping\",\"nonse\":1}").expect_err("typo"),
+            "unknown key 'nonse' in Request::Ping (did you mean 'nonce'?)"
+        );
+        assert_eq!(
+            parse_request("{\"type\":\"ping\",\"type\":\"ping\"}").expect_err("twice"),
+            "duplicate key 'type' in Request"
+        );
     }
 
     #[test]

@@ -81,7 +81,7 @@ use mpisim::{
     Engine, EnginePools, PoolBudget, RunLimits, RunStats, SimConfig, SimError, Snapshot,
 };
 use simdes::{SimDuration, SimTime};
-use tracefmt::json::{self, field_or_default, FromJson, Json, ToJson};
+use tracefmt::json::{self, FromJson, Json, ToJson};
 use tracefmt::{fnv1a_64, Trace};
 
 pub use fabric::FabricChaos;
@@ -264,21 +264,6 @@ impl ScenarioStatus {
             ScenarioStatus::Transient => "transient",
             ScenarioStatus::Cancelled => "cancelled",
         }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "ok" => ScenarioStatus::Ok,
-            "invalid" => ScenarioStatus::Invalid,
-            "over-budget" => ScenarioStatus::OverBudget,
-            "stalled" => ScenarioStatus::Stalled,
-            "watchdog" => ScenarioStatus::Watchdog,
-            "wall-timeout" => ScenarioStatus::WallTimeout,
-            "panic" => ScenarioStatus::Panicked,
-            "transient" => ScenarioStatus::Transient,
-            "cancelled" => ScenarioStatus::Cancelled,
-            _ => return None,
-        })
     }
 }
 
@@ -1336,6 +1321,7 @@ impl ToJson for Chaos {
     }
 }
 
+// simlint: allow(hand-codec) — its tuple variants travel as struct payloads.
 impl FromJson for Chaos {
     fn from_json(v: &Json) -> json::Result<Self> {
         let (variant, p) = v.expect_variant()?;
@@ -1351,93 +1337,45 @@ impl FromJson for Chaos {
     }
 }
 
-impl ToJson for Scenario {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::Str(self.id.clone())),
-            ("config", self.config.to_json()),
-            ("chaos", self.chaos.to_json()),
-            ("max_sim_time", self.max_sim_time.to_json()),
-        ])
+// `chaos` stays a declared wire key until the fault hooks move in-process.
+tracefmt::json_codec! {
+    struct Scenario { id, config, chaos = Chaos::None, max_sim_time = None }
+}
+
+tracefmt::json_codec! {
+    struct RunSummary {
+        runtime_ns,
+        events,
+        messages,
+        retransmissions,
+        dropped,
+        corrupted,
+        trace_fingerprint,
     }
 }
 
-impl FromJson for Scenario {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(Scenario {
-            id: String::from_json(v.field("id")?)?,
-            config: SimConfig::from_json(v.field("config")?)?,
-            chaos: field_or_default(v, "chaos")?,
-            max_sim_time: field_or_default(v, "max_sim_time")?,
-        })
+tracefmt::json_codec! {
+    enum ScenarioStatus {
+        Ok = "ok",
+        Invalid = "invalid",
+        OverBudget = "over-budget",
+        Stalled = "stalled",
+        Watchdog = "watchdog",
+        WallTimeout = "wall-timeout",
+        Panicked = "panic",
+        Transient = "transient",
+        Cancelled = "cancelled",
     }
 }
 
-impl ToJson for RunSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("runtime_ns", self.runtime_ns.to_json()),
-            ("events", self.events.to_json()),
-            ("messages", self.messages.to_json()),
-            ("retransmissions", self.retransmissions.to_json()),
-            ("dropped", self.dropped.to_json()),
-            ("corrupted", self.corrupted.to_json()),
-            ("trace_fingerprint", self.trace_fingerprint.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RunSummary {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(RunSummary {
-            runtime_ns: u64::from_json(v.field("runtime_ns")?)?,
-            events: u64::from_json(v.field("events")?)?,
-            messages: u64::from_json(v.field("messages")?)?,
-            retransmissions: u64::from_json(v.field("retransmissions")?)?,
-            dropped: u64::from_json(v.field("dropped")?)?,
-            corrupted: u64::from_json(v.field("corrupted")?)?,
-            trace_fingerprint: u64::from_json(v.field("trace_fingerprint")?)?,
-        })
-    }
-}
-
-impl ToJson for ScenarioStatus {
-    fn to_json(&self) -> Json {
-        Json::Str(self.as_str().to_string())
-    }
-}
-
-impl FromJson for ScenarioStatus {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let s = String::from_json(v)?;
-        ScenarioStatus::from_str(&s)
-            .ok_or_else(|| json::JsonError(format!("unknown scenario status '{s}'")))
-    }
-}
-
-impl ToJson for ScenarioResult {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::Str(self.id.clone())),
-            ("status", self.status.to_json()),
-            ("attempts", self.attempts.to_json()),
-            ("error", self.error.to_json()),
-            ("summary", self.summary.to_json()),
-            ("config_fingerprint", self.config_fingerprint.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ScenarioResult {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(ScenarioResult {
-            id: String::from_json(v.field("id")?)?,
-            status: ScenarioStatus::from_json(v.field("status")?)?,
-            attempts: u32::from_json(v.field("attempts")?)?,
-            error: field_or_default(v, "error")?,
-            summary: field_or_default(v, "summary")?,
-            config_fingerprint: field_or_default(v, "config_fingerprint")?,
-        })
+tracefmt::json_codec! {
+    struct ScenarioResult {
+        id,
+        status,
+        attempts,
+        error = None,
+        summary = None,
+        config_fingerprint = None,
     }
 }
 

@@ -211,7 +211,7 @@ pub(crate) fn load_results_checked(path: &Path) -> io::Result<(Vec<ScenarioResul
                         .get("status")
                         .and_then(|j| j.as_str())
                         .unwrap_or("<missing>");
-                    let known = ScenarioStatus::from_str(status).is_some();
+                    let known = ScenarioStatus::from_json(&Json::Str(status.into())).is_ok();
                     warnings.push(format!(
                         "scenario '{id}': undecodable record in {} ({}) — \
                          ignoring it and re-running the scenario",

@@ -9,8 +9,6 @@
 //! cluster simulator, while the real solver (`D3Q19`) validates the
 //! physics and per-cell cost structure at small scale.
 
-use tracefmt::json::{self, FromJson, Json, ToJson};
-
 use crate::lattice::Q;
 
 /// Bytes of memory traffic per cell per SRT update: 19 populations read +
@@ -79,26 +77,8 @@ impl LbmDecomposition {
     }
 }
 
-impl ToJson for LbmDecomposition {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("nx", self.nx.to_json()),
-            ("ny", self.ny.to_json()),
-            ("nz", self.nz.to_json()),
-            ("ranks", self.ranks.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LbmDecomposition {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(LbmDecomposition {
-            nx: u64::from_json(v.field("nx")?)?,
-            ny: u64::from_json(v.field("ny")?)?,
-            nz: u64::from_json(v.field("nz")?)?,
-            ranks: u32::from_json(v.field("ranks")?)?,
-        })
-    }
+tracefmt::json_codec! {
+    struct LbmDecomposition { nx, ny, nz, ranks }
 }
 
 #[cfg(test)]

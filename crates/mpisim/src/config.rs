@@ -9,7 +9,6 @@
 use netmodel::ClusterNetwork;
 use noise_model::{DelayDistribution, InjectionPlan};
 use simdes::SimDuration;
-use tracefmt::json::{self, field_or_default, FromJson, Json, ToJson};
 use workload::{CommPattern, CommSchedule, ExecModel};
 
 use crate::diag::{self, Diagnostic};
@@ -356,125 +355,37 @@ impl SimConfig {
     }
 }
 
-impl ToJson for Protocol {
-    fn to_json(&self) -> Json {
-        match *self {
-            Protocol::Eager => Json::Str("Eager".into()),
-            Protocol::Rendezvous => Json::Str("Rendezvous".into()),
-            Protocol::Auto { eager_limit } => Json::obj(vec![(
-                "Auto",
-                Json::obj(vec![("eager_limit", eager_limit.to_json())]),
-            )]),
-        }
-    }
+tracefmt::json_codec! {
+    enum Protocol { Eager, Rendezvous, Auto { eager_limit } }
 }
 
-impl FromJson for Protocol {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let (variant, p) = v.expect_variant()?;
-        match variant {
-            "Eager" => Ok(Protocol::Eager),
-            "Rendezvous" => Ok(Protocol::Rendezvous),
-            "Auto" => Ok(Protocol::Auto {
-                eager_limit: u64::from_json(p.field("eager_limit")?)?,
-            }),
-            other => Err(json::JsonError(format!(
-                "unknown Protocol variant '{other}'"
-            ))),
-        }
-    }
+tracefmt::json_codec! {
+    enum Mode { Eager, Rendezvous }
 }
 
-impl ToJson for Mode {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Mode::Eager => "Eager",
-                Mode::Rendezvous => "Rendezvous",
-            }
-            .into(),
-        )
-    }
+tracefmt::json_codec! {
+    enum NoisePlacement { ExecOnly, ExecAndComm }
 }
 
-impl FromJson for Mode {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        match v.expect_variant()?.0 {
-            "Eager" => Ok(Mode::Eager),
-            "Rendezvous" => Ok(Mode::Rendezvous),
-            other => Err(json::JsonError(format!("unknown Mode variant '{other}'"))),
-        }
-    }
-}
-
-impl ToJson for NoisePlacement {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                NoisePlacement::ExecOnly => "ExecOnly",
-                NoisePlacement::ExecAndComm => "ExecAndComm",
-            }
-            .into(),
-        )
-    }
-}
-
-impl FromJson for NoisePlacement {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        match v.expect_variant()?.0 {
-            "ExecOnly" => Ok(NoisePlacement::ExecOnly),
-            "ExecAndComm" => Ok(NoisePlacement::ExecAndComm),
-            other => Err(json::JsonError(format!(
-                "unknown NoisePlacement variant '{other}'"
-            ))),
-        }
-    }
-}
-
-impl ToJson for SimConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("network", self.network.to_json()),
-            ("pattern", self.pattern.to_json()),
-            ("schedule", self.schedule.to_json()),
-            ("msg_bytes", self.msg_bytes.to_json()),
-            ("protocol", self.protocol.to_json()),
-            ("exec", self.exec.to_json()),
-            ("steps", self.steps.to_json()),
-            ("injections", self.injections.to_json()),
-            ("noise", self.noise.to_json()),
-            ("noise_placement", self.noise_placement.to_json()),
-            ("eager_buffer_bytes", self.eager_buffer_bytes.to_json()),
-            ("serialize_sends", self.serialize_sends.to_json()),
-            ("imbalance", self.imbalance.to_json()),
-            ("faults", self.faults.to_json()),
-            ("seed", self.seed.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SimConfig {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        // `schedule`, `serialize_sends`, and `imbalance` were late additions
-        // to the format: configs written before them still parse, with the
-        // neutral default filled in.
-        Ok(SimConfig {
-            network: ClusterNetwork::from_json(v.field("network")?)?,
-            pattern: CommPattern::from_json(v.field("pattern")?)?,
-            schedule: field_or_default(v, "schedule")?,
-            msg_bytes: u64::from_json(v.field("msg_bytes")?)?,
-            protocol: Protocol::from_json(v.field("protocol")?)?,
-            exec: ExecModel::from_json(v.field("exec")?)?,
-            steps: u32::from_json(v.field("steps")?)?,
-            injections: InjectionPlan::from_json(v.field("injections")?)?,
-            noise: DelayDistribution::from_json(v.field("noise")?)?,
-            noise_placement: field_or_default(v, "noise_placement")?,
-            eager_buffer_bytes: field_or_default(v, "eager_buffer_bytes")?,
-            serialize_sends: field_or_default(v, "serialize_sends")?,
-            imbalance: field_or_default(v, "imbalance")?,
-            faults: field_or_default(v, "faults")?,
-            seed: u64::from_json(v.field("seed")?)?,
-        })
+// The keys with defaults joined the format late: configs written before
+// them still parse, with the neutral default filled in.
+tracefmt::json_codec! {
+    struct SimConfig {
+        network,
+        pattern,
+        schedule = None,
+        msg_bytes,
+        protocol,
+        exec,
+        steps,
+        injections,
+        noise,
+        noise_placement = NoisePlacement::ExecOnly,
+        eager_buffer_bytes = None,
+        serialize_sends = false,
+        imbalance = Vec::new(),
+        faults = FaultPlan::none(),
+        seed,
     }
 }
 
@@ -482,6 +393,7 @@ impl FromJson for SimConfig {
 mod tests {
     use super::*;
     use netmodel::presets;
+    use tracefmt::json::{FromJson, Json, ToJson};
 
     fn cfg() -> SimConfig {
         let net = presets::loggopsim_like(8);

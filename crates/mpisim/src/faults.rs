@@ -32,7 +32,6 @@
 //! documented in `docs/FAULTS.md`.
 
 use simdes::{SimDuration, SimRng, SimTime};
-use tracefmt::json::{self, field_or_default, FromJson, Json, ToJson};
 
 use crate::diag::Diagnostic;
 
@@ -485,149 +484,31 @@ impl FaultPlan {
     }
 }
 
-impl ToJson for MessageFaults {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("drop_prob", self.drop_prob.to_json()),
-            ("corrupt_prob", self.corrupt_prob.to_json()),
-            ("rto", self.rto.to_json()),
-            ("backoff", self.backoff.to_json()),
-            ("max_rto", self.max_rto.to_json()),
-            ("max_retries", self.max_retries.to_json()),
-        ])
-    }
+tracefmt::json_codec! {
+    struct MessageFaults { drop_prob, corrupt_prob, rto, backoff, max_rto, max_retries }
 }
 
-impl FromJson for MessageFaults {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(MessageFaults {
-            drop_prob: f64::from_json(v.field("drop_prob")?)?,
-            corrupt_prob: f64::from_json(v.field("corrupt_prob")?)?,
-            rto: SimDuration::from_json(v.field("rto")?)?,
-            backoff: f64::from_json(v.field("backoff")?)?,
-            max_rto: SimDuration::from_json(v.field("max_rto")?)?,
-            max_retries: u32::from_json(v.field("max_retries")?)?,
-        })
-    }
+tracefmt::json_codec! {
+    struct LinkDegradation { from, until, link, latency_factor, bandwidth_factor }
 }
 
-impl ToJson for LinkDegradation {
-    fn to_json(&self) -> Json {
-        let link = match self.link {
-            Some((a, b)) => Json::Array(vec![a.to_json(), b.to_json()]),
-            None => Json::Null,
-        };
-        Json::obj(vec![
-            ("from", self.from.to_json()),
-            ("until", self.until.to_json()),
-            ("link", link),
-            ("latency_factor", self.latency_factor.to_json()),
-            ("bandwidth_factor", self.bandwidth_factor.to_json()),
-        ])
-    }
+tracefmt::json_codec! {
+    enum RankFaultKind { Stall { duration }, Crash { outage } }
 }
 
-impl FromJson for LinkDegradation {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let link = match v.field("link")? {
-            Json::Null => None,
-            other => {
-                let pair = other.expect_array()?;
-                if pair.len() != 2 {
-                    return Err(json::JsonError(format!(
-                        "link must be [src, dst], got {} elements",
-                        pair.len()
-                    )));
-                }
-                Some((u32::from_json(&pair[0])?, u32::from_json(&pair[1])?))
-            }
-        };
-        Ok(LinkDegradation {
-            from: SimTime::from_json(v.field("from")?)?,
-            until: SimTime::from_json(v.field("until")?)?,
-            link,
-            latency_factor: f64::from_json(v.field("latency_factor")?)?,
-            bandwidth_factor: f64::from_json(v.field("bandwidth_factor")?)?,
-        })
-    }
+tracefmt::json_codec! {
+    struct RankFault { rank, step, kind }
 }
 
-impl ToJson for RankFaultKind {
-    fn to_json(&self) -> Json {
-        match *self {
-            RankFaultKind::Stall { duration } => Json::obj(vec![(
-                "Stall",
-                Json::obj(vec![("duration", duration.to_json())]),
-            )]),
-            RankFaultKind::Crash { outage } => Json::obj(vec![(
-                "Crash",
-                Json::obj(vec![("outage", outage.to_json())]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for RankFaultKind {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let (variant, p) = v.expect_variant()?;
-        match variant {
-            "Stall" => Ok(RankFaultKind::Stall {
-                duration: SimDuration::from_json(p.field("duration")?)?,
-            }),
-            "Crash" => Ok(RankFaultKind::Crash {
-                outage: Option::<SimDuration>::from_json(p.field("outage")?)?,
-            }),
-            other => Err(json::JsonError(format!(
-                "unknown RankFaultKind variant '{other}'"
-            ))),
-        }
-    }
-}
-
-impl ToJson for RankFault {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("rank", self.rank.to_json()),
-            ("step", self.step.to_json()),
-            ("kind", self.kind.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RankFault {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(RankFault {
-            rank: u32::from_json(v.field("rank")?)?,
-            step: u32::from_json(v.field("step")?)?,
-            kind: RankFaultKind::from_json(v.field("kind")?)?,
-        })
-    }
-}
-
-impl ToJson for FaultPlan {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("messages", self.messages.to_json()),
-            ("degradations", self.degradations.to_json()),
-            ("rank_faults", self.rank_faults.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FaultPlan {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(FaultPlan {
-            messages: field_or_default(v, "messages")?,
-            degradations: field_or_default(v, "degradations")?,
-            rank_faults: field_or_default(v, "rank_faults")?,
-        })
-    }
+tracefmt::json_codec! {
+    struct FaultPlan { messages = None, degradations = Vec::new(), rank_faults = Vec::new() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use simdes::SeedFactory;
+    use tracefmt::json;
 
     const MS: SimDuration = SimDuration::from_millis(1);
 

@@ -44,7 +44,7 @@ use simdes::{EventQueue, SimDuration, SimRng, SimTime};
 use tracefmt::json;
 use tracefmt::{fnv1a_64, FromJson, Json, PhaseRecord, ToJson};
 
-use crate::config::{Mode, SimConfig};
+use crate::config::SimConfig;
 use crate::diag::Diagnostic;
 use crate::engine::{
     EarlySet, Engine, Ev, Phase, RankState, Ranks, ReqState, Request, RunStats, TraceMode,
@@ -332,124 +332,56 @@ impl Snapshot {
                     ("now", self.now.to_json()),
                     ("next_seq", self.next_seq.to_json()),
                     ("delivered", self.delivered.to_json()),
-                    (
-                        "events",
-                        Json::Array(
-                            self.events
-                                .iter()
-                                .map(|&(t, seq, ev)| {
-                                    Json::Array(vec![t.to_json(), seq.to_json(), ev.to_json()])
-                                })
-                                .collect(),
-                        ),
-                    ),
+                    ("events", self.events.to_json()),
                 ]),
             ),
             (
                 "ranks",
                 Json::Array(self.ranks.iter().map(rank_to_json).collect()),
             ),
-            ("early_rts", triples_to_json(&self.early_rts)),
-            ("early_eager", triples_to_json(&self.early_eager)),
-            (
-                "outstanding_eager",
-                Json::Array(
-                    self.outstanding_eager
-                        .iter()
-                        .map(|&(s, d, b)| Json::Array(vec![s.to_json(), d.to_json(), b.to_json()]))
-                        .collect(),
-                ),
-            ),
+            ("early_rts", self.early_rts.to_json()),
+            ("early_eager", self.early_eager.to_json()),
+            ("outstanding_eager", self.outstanding_eager.to_json()),
             ("socket_members", self.socket_members.to_json()),
             ("records", self.records.to_json()),
             ("done_count", self.done_count.to_json()),
             ("nic_free", self.nic_free.to_json()),
-            ("stats", stats_to_json(&self.stats)),
-            (
-                "fault_rngs",
-                Json::Array(
-                    self.fault_rngs
-                        .iter()
-                        .map(|&(s, d, st)| {
-                            Json::Array(vec![s.to_json(), d.to_json(), rng_words_to_json(st)])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("stats", self.stats.to_json()),
+            ("fault_rngs", self.fault_rngs.to_json()),
             ("crashed", self.crashed.to_json()),
             ("lost", self.lost.to_json()),
         ])
     }
 
     fn from_body(v: &Json) -> json::Result<Self> {
+        fn field<T: FromJson>(v: &Json, key: &str) -> json::Result<T> {
+            T::from_json(v.field(key)?).map_err(|e| json::JsonError(format!("{key}: {}", e.0)))
+        }
         let q = v.field("queue")?;
-        let events = q
-            .field("events")?
-            .expect_array()?
-            .iter()
-            .map(|e| {
-                let parts = e.expect_array()?;
-                if parts.len() != 3 {
-                    return Err(json::JsonError(format!(
-                        "queue event needs [time, seq, ev], got {} elements",
-                        parts.len()
-                    )));
-                }
-                Ok((
-                    SimTime::from_json(&parts[0])?,
-                    u64::from_json(&parts[1])?,
-                    Ev::from_json(&parts[2])?,
-                ))
-            })
-            .collect::<json::Result<Vec<_>>>()?;
         Ok(Snapshot {
-            config: SimConfig::from_json(v.field("config")?)?,
-            started: bool::from_json(v.field("started")?)?,
-            now: SimTime::from_json(q.field("now")?)?,
-            next_seq: u64::from_json(q.field("next_seq")?)?,
-            delivered: u64::from_json(q.field("delivered")?)?,
-            events,
+            config: field(v, "config")?,
+            started: field(v, "started")?,
+            now: field(q, "now")?,
+            next_seq: field(q, "next_seq")?,
+            delivered: field(q, "delivered")?,
+            events: field(q, "events")?,
             ranks: v
                 .field("ranks")?
                 .expect_array()?
                 .iter()
                 .map(rank_from_json)
                 .collect::<json::Result<Vec<_>>>()?,
-            early_rts: triples_from_json(v.field("early_rts")?)?,
-            early_eager: triples_from_json(v.field("early_eager")?)?,
-            outstanding_eager: v
-                .field("outstanding_eager")?
-                .expect_array()?
-                .iter()
-                .map(|e| {
-                    let parts = e.expect_array()?;
-                    Ok((
-                        u32::from_json(&parts[0])?,
-                        u32::from_json(&parts[1])?,
-                        u64::from_json(&parts[2])?,
-                    ))
-                })
-                .collect::<json::Result<Vec<_>>>()?,
-            socket_members: Vec::<Vec<u32>>::from_json(v.field("socket_members")?)?,
-            records: Vec::<PhaseRecord>::from_json(v.field("records")?)?,
-            done_count: u32::from_json(v.field("done_count")?)?,
-            nic_free: Vec::<SimTime>::from_json(v.field("nic_free")?)?,
-            stats: stats_from_json(v.field("stats")?)?,
-            fault_rngs: v
-                .field("fault_rngs")?
-                .expect_array()?
-                .iter()
-                .map(|e| {
-                    let parts = e.expect_array()?;
-                    Ok((
-                        u32::from_json(&parts[0])?,
-                        u32::from_json(&parts[1])?,
-                        rng_words_from_json(&parts[2])?,
-                    ))
-                })
-                .collect::<json::Result<Vec<_>>>()?,
-            crashed: Vec::<u32>::from_json(v.field("crashed")?)?,
-            lost: Vec::<String>::from_json(v.field("lost")?)?,
+            early_rts: field(v, "early_rts")?,
+            early_eager: field(v, "early_eager")?,
+            outstanding_eager: field(v, "outstanding_eager")?,
+            socket_members: field(v, "socket_members")?,
+            records: field(v, "records")?,
+            done_count: field(v, "done_count")?,
+            nic_free: field(v, "nic_free")?,
+            stats: field(v, "stats")?,
+            fault_rngs: field(v, "fault_rngs")?,
+            crashed: field(v, "crashed")?,
+            lost: field(v, "lost")?,
         })
     }
 }
@@ -540,88 +472,24 @@ impl Engine {
 
 // ---- field-level serialization helpers ----------------------------------
 
-fn triples_to_json(v: &[(u32, u32, u32)]) -> Json {
-    Json::Array(
-        v.iter()
-            .map(|&(a, b, c)| Json::Array(vec![a.to_json(), b.to_json(), c.to_json()]))
-            .collect(),
-    )
-}
-
-fn triples_from_json(v: &Json) -> json::Result<Vec<(u32, u32, u32)>> {
-    v.expect_array()?
-        .iter()
-        .map(|e| {
-            let parts = e.expect_array()?;
-            if parts.len() != 3 {
-                return Err(json::JsonError(format!(
-                    "expected [a, b, c] triple, got {} elements",
-                    parts.len()
-                )));
-            }
-            Ok((
-                u32::from_json(&parts[0])?,
-                u32::from_json(&parts[1])?,
-                u32::from_json(&parts[2])?,
-            ))
-        })
-        .collect()
-}
-
-fn rng_words_to_json(s: [u64; 4]) -> Json {
-    Json::Array(s.iter().map(|w| w.to_json()).collect())
-}
-
-fn rng_words_from_json(v: &Json) -> json::Result<[u64; 4]> {
-    let parts = v.expect_array()?;
-    if parts.len() != 4 {
-        return Err(json::JsonError(format!(
-            "xoshiro state needs 4 words, got {}",
-            parts.len()
-        )));
+tracefmt::json_codec! {
+    struct RunStats {
+        events,
+        peak_queue,
+        messages,
+        eager_fallbacks,
+        retransmissions,
+        dropped_transfers,
+        corrupted_transfers,
+        lost_transfers,
     }
-    Ok([
-        u64::from_json(&parts[0])?,
-        u64::from_json(&parts[1])?,
-        u64::from_json(&parts[2])?,
-        u64::from_json(&parts[3])?,
-    ])
-}
-
-fn stats_to_json(s: &RunStats) -> Json {
-    Json::obj(vec![
-        ("events", s.events.to_json()),
-        ("peak_queue", (s.peak_queue as u64).to_json()),
-        ("messages", s.messages.to_json()),
-        ("eager_fallbacks", s.eager_fallbacks.to_json()),
-        ("retransmissions", s.retransmissions.to_json()),
-        ("dropped_transfers", s.dropped_transfers.to_json()),
-        ("corrupted_transfers", s.corrupted_transfers.to_json()),
-        ("lost_transfers", s.lost_transfers.to_json()),
-    ])
-}
-
-fn stats_from_json(v: &Json) -> json::Result<RunStats> {
-    Ok(RunStats {
-        events: u64::from_json(v.field("events")?)?,
-        peak_queue: u64::from_json(v.field("peak_queue")?)? as usize,
-        messages: u64::from_json(v.field("messages")?)?,
-        eager_fallbacks: u64::from_json(v.field("eager_fallbacks")?)?,
-        retransmissions: u64::from_json(v.field("retransmissions")?)?,
-        dropped_transfers: u64::from_json(v.field("dropped_transfers")?)?,
-        corrupted_transfers: u64::from_json(v.field("corrupted_transfers")?)?,
-        lost_transfers: u64::from_json(v.field("lost_transfers")?)?,
-    })
 }
 
 fn rank_to_json(r: &RankState) -> Json {
     Json::obj(vec![
         ("phase", r.phase.to_json()),
         ("step", r.step.to_json()),
-        (
-            "reqs",
-            Json::Array(r.reqs.iter().map(req_to_json).collect()),
-        ),
+        ("reqs", r.reqs.to_json()),
         ("exec_start", r.exec_start.to_json()),
         ("exec_end", r.exec_end.to_json()),
         ("injected", r.injected.to_json()),
@@ -634,14 +502,14 @@ fn rank_to_json(r: &RankState) -> Json {
             r.remaining_bytes.to_bits().to_json(),
         ),
         ("last_update", r.last_update.to_json()),
-        ("rng", rng_words_to_json(r.rng.state())),
-        ("comm_rng", rng_words_to_json(r.comm_rng.state())),
+        ("rng", r.rng.state().to_json()),
+        ("comm_rng", r.comm_rng.state().to_json()),
     ])
 }
 
 fn rank_from_json(v: &Json) -> json::Result<RankState> {
-    let rng_words = rng_words_from_json(v.field("rng")?)?;
-    let comm_words = rng_words_from_json(v.field("comm_rng")?)?;
+    let rng_words = <[u64; 4]>::from_json(v.field("rng")?)?;
+    let comm_words = <[u64; 4]>::from_json(v.field("comm_rng")?)?;
     if rng_words == [0; 4] || comm_words == [0; 4] {
         return Err(json::JsonError(
             "all-zero xoshiro state in rank snapshot".to_string(),
@@ -650,12 +518,7 @@ fn rank_from_json(v: &Json) -> json::Result<RankState> {
     Ok(RankState {
         phase: Phase::from_json(v.field("phase")?)?,
         step: u32::from_json(v.field("step")?)?,
-        reqs: v
-            .field("reqs")?
-            .expect_array()?
-            .iter()
-            .map(req_from_json)
-            .collect::<json::Result<Vec<_>>>()?,
+        reqs: Vec::<Request>::from_json(v.field("reqs")?)?,
         exec_start: SimTime::from_json(v.field("exec_start")?)?,
         exec_end: SimTime::from_json(v.field("exec_end")?)?,
         injected: SimDuration::from_json(v.field("injected")?)?,
@@ -668,173 +531,27 @@ fn rank_from_json(v: &Json) -> json::Result<RankState> {
     })
 }
 
-fn req_to_json(r: &Request) -> Json {
-    Json::obj(vec![
-        ("peer", r.peer.to_json()),
-        ("is_send", r.is_send.to_json()),
-        ("mode", r.mode.to_json()),
-        ("state", r.state.to_json()),
-    ])
+tracefmt::json_codec! {
+    struct Request { peer, is_send, mode, state }
 }
 
-fn req_from_json(v: &Json) -> json::Result<Request> {
-    Ok(Request {
-        peer: u32::from_json(v.field("peer")?)?,
-        is_send: bool::from_json(v.field("is_send")?)?,
-        mode: Mode::from_json(v.field("mode")?)?,
-        state: ReqState::from_json(v.field("state")?)?,
-    })
+tracefmt::json_codec! {
+    enum Phase { Computing, Waiting, Done, Crashed }
 }
 
-impl ToJson for Phase {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Phase::Computing => "Computing",
-                Phase::Waiting => "Waiting",
-                Phase::Done => "Done",
-                Phase::Crashed => "Crashed",
-            }
-            .to_string(),
-        )
-    }
+tracefmt::json_codec! {
+    enum ReqState { Unmatched, MatchedNoCts, InFlight, Complete }
 }
 
-impl FromJson for Phase {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        match v.expect_str()? {
-            "Computing" => Ok(Phase::Computing),
-            "Waiting" => Ok(Phase::Waiting),
-            "Done" => Ok(Phase::Done),
-            "Crashed" => Ok(Phase::Crashed),
-            other => Err(json::JsonError(format!("unknown Phase variant '{other}'"))),
-        }
-    }
-}
-
-impl ToJson for ReqState {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                ReqState::Unmatched => "Unmatched",
-                ReqState::MatchedNoCts => "MatchedNoCts",
-                ReqState::InFlight => "InFlight",
-                ReqState::Complete => "Complete",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for ReqState {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        match v.expect_str()? {
-            "Unmatched" => Ok(ReqState::Unmatched),
-            "MatchedNoCts" => Ok(ReqState::MatchedNoCts),
-            "InFlight" => Ok(ReqState::InFlight),
-            "Complete" => Ok(ReqState::Complete),
-            other => Err(json::JsonError(format!(
-                "unknown ReqState variant '{other}'"
-            ))),
-        }
-    }
-}
-
-impl ToJson for Ev {
-    fn to_json(&self) -> Json {
-        let variant =
-            |name: &str, fields: Vec<(&str, Json)>| Json::obj(vec![(name, Json::obj(fields))]);
-        match *self {
-            Ev::ExecEnd { rank, epoch } => variant(
-                "ExecEnd",
-                vec![("rank", rank.to_json()), ("epoch", epoch.to_json())],
-            ),
-            Ev::WorkStart { rank } => variant("WorkStart", vec![("rank", rank.to_json())]),
-            Ev::WorkEnd { rank, epoch } => variant(
-                "WorkEnd",
-                vec![("rank", rank.to_json()), ("epoch", epoch.to_json())],
-            ),
-            Ev::RtsArrive { src, dst, step } => variant(
-                "RtsArrive",
-                vec![
-                    ("src", src.to_json()),
-                    ("dst", dst.to_json()),
-                    ("step", step.to_json()),
-                ],
-            ),
-            Ev::CtsArrive {
-                sender,
-                receiver,
-                step,
-            } => variant(
-                "CtsArrive",
-                vec![
-                    ("sender", sender.to_json()),
-                    ("receiver", receiver.to_json()),
-                    ("step", step.to_json()),
-                ],
-            ),
-            Ev::EagerArrive { src, dst, step } => variant(
-                "EagerArrive",
-                vec![
-                    ("src", src.to_json()),
-                    ("dst", dst.to_json()),
-                    ("step", step.to_json()),
-                ],
-            ),
-            Ev::XferDone {
-                sender,
-                receiver,
-                step,
-            } => variant(
-                "XferDone",
-                vec![
-                    ("sender", sender.to_json()),
-                    ("receiver", receiver.to_json()),
-                    ("step", step.to_json()),
-                ],
-            ),
-        }
-    }
-}
-
-impl FromJson for Ev {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let (name, body) = v.expect_variant()?;
-        match name {
-            "ExecEnd" => Ok(Ev::ExecEnd {
-                rank: u32::from_json(body.field("rank")?)?,
-                epoch: u64::from_json(body.field("epoch")?)?,
-            }),
-            "WorkStart" => Ok(Ev::WorkStart {
-                rank: u32::from_json(body.field("rank")?)?,
-            }),
-            "WorkEnd" => Ok(Ev::WorkEnd {
-                rank: u32::from_json(body.field("rank")?)?,
-                epoch: u64::from_json(body.field("epoch")?)?,
-            }),
-            "RtsArrive" => Ok(Ev::RtsArrive {
-                src: u32::from_json(body.field("src")?)?,
-                dst: u32::from_json(body.field("dst")?)?,
-                step: u32::from_json(body.field("step")?)?,
-            }),
-            "CtsArrive" => Ok(Ev::CtsArrive {
-                sender: u32::from_json(body.field("sender")?)?,
-                receiver: u32::from_json(body.field("receiver")?)?,
-                step: u32::from_json(body.field("step")?)?,
-            }),
-            "EagerArrive" => Ok(Ev::EagerArrive {
-                src: u32::from_json(body.field("src")?)?,
-                dst: u32::from_json(body.field("dst")?)?,
-                step: u32::from_json(body.field("step")?)?,
-            }),
-            "XferDone" => Ok(Ev::XferDone {
-                sender: u32::from_json(body.field("sender")?)?,
-                receiver: u32::from_json(body.field("receiver")?)?,
-                step: u32::from_json(body.field("step")?)?,
-            }),
-            other => Err(json::JsonError(format!("unknown Ev variant '{other}'"))),
-        }
+tracefmt::json_codec! {
+    enum Ev {
+        ExecEnd { rank, epoch },
+        WorkStart { rank },
+        WorkEnd { rank, epoch },
+        RtsArrive { src, dst, step },
+        CtsArrive { sender, receiver, step },
+        EagerArrive { src, dst, step },
+        XferDone { sender, receiver, step },
     }
 }
 
@@ -967,11 +684,105 @@ mod tests {
     }
 
     #[test]
+    fn short_tuples_in_a_signed_body_are_rt004_not_a_panic() {
+        let (snap, _) = snapshot_at(&cfg(4, 3), 6);
+        let text = snap.encode();
+        let (body, _) = text.split_once('\n').expect("two lines");
+        for key in ["outstanding_eager", "early_rts", "fault_rngs"] {
+            let mut v = Json::parse(body).expect("body parses");
+            let Json::Object(fields) = &mut v else {
+                panic!("body is an object")
+            };
+            let slot = fields.iter_mut().find(|(k, _)| k == key).expect("key");
+            slot.1 = Json::parse("[[0,1]]").expect("literal");
+            let signed = v.dump();
+            let resigned = format!(
+                "{signed}\n{}\n",
+                json::to_string(&Json::obj(vec![(
+                    "snapshot_digest",
+                    fnv1a_64(signed.as_bytes()).to_json(),
+                )]))
+            );
+            let err = Snapshot::decode(resigned.as_bytes()).expect_err("short tuple");
+            assert_eq!(err.into_diagnostics()[0].code, "RT004", "{key}");
+        }
+    }
+
+    #[test]
     fn config_fingerprint_tracks_config_identity() {
         let a = cfg(5, 3);
         let mut b = a.clone();
         assert_eq!(config_fingerprint(&a), config_fingerprint(&b));
         b.seed ^= 0xdead_beef;
         assert_ne!(config_fingerprint(&a), config_fingerprint(&b));
+    }
+
+    /// The engine-internal records a snapshot body carries, every variant,
+    /// pinned to the bytes the hand-written codecs produced.
+    #[test]
+    fn internal_record_encodings_are_pinned() {
+        let evs = [
+            Ev::ExecEnd { rank: 1, epoch: 2 },
+            Ev::WorkStart { rank: 3 },
+            Ev::WorkEnd { rank: 4, epoch: 5 },
+            Ev::RtsArrive {
+                src: 6,
+                dst: 7,
+                step: 8,
+            },
+            Ev::CtsArrive {
+                sender: 9,
+                receiver: 10,
+                step: 11,
+            },
+            Ev::EagerArrive {
+                src: 12,
+                dst: 13,
+                step: 14,
+            },
+            Ev::XferDone {
+                sender: 15,
+                receiver: 16,
+                step: 17,
+            },
+        ];
+        let mut got: Vec<String> = evs.iter().map(json::to_string).collect();
+        for p in [
+            Phase::Computing,
+            Phase::Waiting,
+            Phase::Done,
+            Phase::Crashed,
+        ] {
+            got.push(json::to_string(&p));
+        }
+        for r in [
+            ReqState::Unmatched,
+            ReqState::MatchedNoCts,
+            ReqState::InFlight,
+            ReqState::Complete,
+        ] {
+            got.push(json::to_string(&r));
+        }
+        let want = [
+            r#"{"ExecEnd":{"rank":1,"epoch":2}}"#,
+            r#"{"WorkStart":{"rank":3}}"#,
+            r#"{"WorkEnd":{"rank":4,"epoch":5}}"#,
+            r#"{"RtsArrive":{"src":6,"dst":7,"step":8}}"#,
+            r#"{"CtsArrive":{"sender":9,"receiver":10,"step":11}}"#,
+            r#"{"EagerArrive":{"src":12,"dst":13,"step":14}}"#,
+            r#"{"XferDone":{"sender":15,"receiver":16,"step":17}}"#,
+            r#""Computing""#,
+            r#""Waiting""#,
+            r#""Done""#,
+            r#""Crashed""#,
+            r#""Unmatched""#,
+            r#""MatchedNoCts""#,
+            r#""InFlight""#,
+            r#""Complete""#,
+        ];
+        assert_eq!(got, want);
+        for (text, ev) in want.iter().zip(evs) {
+            assert_eq!(json::from_str::<Ev>(text).expect("decodes"), ev);
+        }
     }
 }

@@ -17,7 +17,6 @@
 //! system" can mean LogGOPS while the machine presets use Hockney.
 
 use simdes::SimDuration;
-use tracefmt::json::{self, FromJson, Json, ToJson};
 
 /// A point-to-point message cost model.
 ///
@@ -170,68 +169,16 @@ impl LogGops {
     }
 }
 
-impl ToJson for Hockney {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("latency", self.latency.to_json()),
-            ("bandwidth_bps", self.bandwidth_bps.to_json()),
-        ])
-    }
+tracefmt::json_codec! {
+    struct Hockney { latency, bandwidth_bps }
 }
 
-impl FromJson for Hockney {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(Hockney {
-            latency: SimDuration::from_json(v.field("latency")?)?,
-            bandwidth_bps: f64::from_json(v.field("bandwidth_bps")?)?,
-        })
-    }
+tracefmt::json_codec! {
+    struct LogGops { l, o, g, big_g_per_byte, big_o_per_byte }
 }
 
-impl ToJson for LogGops {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("l", self.l.to_json()),
-            ("o", self.o.to_json()),
-            ("g", self.g.to_json()),
-            ("big_g_per_byte", self.big_g_per_byte.to_json()),
-            ("big_o_per_byte", self.big_o_per_byte.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LogGops {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(LogGops {
-            l: SimDuration::from_json(v.field("l")?)?,
-            o: SimDuration::from_json(v.field("o")?)?,
-            g: SimDuration::from_json(v.field("g")?)?,
-            big_g_per_byte: f64::from_json(v.field("big_g_per_byte")?)?,
-            big_o_per_byte: f64::from_json(v.field("big_o_per_byte")?)?,
-        })
-    }
-}
-
-impl ToJson for PointToPoint {
-    fn to_json(&self) -> Json {
-        match self {
-            PointToPoint::Hockney(h) => Json::obj(vec![("Hockney", h.to_json())]),
-            PointToPoint::LogGops(l) => Json::obj(vec![("LogGops", l.to_json())]),
-        }
-    }
-}
-
-impl FromJson for PointToPoint {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let (variant, payload) = v.expect_variant()?;
-        match variant {
-            "Hockney" => Ok(PointToPoint::Hockney(Hockney::from_json(payload)?)),
-            "LogGops" => Ok(PointToPoint::LogGops(LogGops::from_json(payload)?)),
-            other => Err(json::JsonError(format!(
-                "unknown PointToPoint variant '{other}'"
-            ))),
-        }
-    }
+tracefmt::json_codec! {
+    enum PointToPoint { Hockney(_), LogGops(_) }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! interconnect).
 
 use simdes::SimDuration;
-use tracefmt::json::{self, FromJson, Json, ToJson};
+use tracefmt::json;
 
 use crate::model::PointToPoint;
 use crate::topology::{Domain, Location, Machine};
@@ -122,46 +122,15 @@ impl ClusterNetwork {
     }
 }
 
-impl ToJson for DomainModels {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("socket", self.socket.to_json()),
-            ("node", self.node.to_json()),
-            ("network", self.network.to_json()),
-        ])
-    }
+tracefmt::json_codec! {
+    struct DomainModels { socket, node, network }
 }
 
-impl FromJson for DomainModels {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(DomainModels {
-            socket: PointToPoint::from_json(v.field("socket")?)?,
-            node: PointToPoint::from_json(v.field("node")?)?,
-            network: PointToPoint::from_json(v.field("network")?)?,
-        })
-    }
-}
-
-impl ToJson for ClusterNetwork {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("machine", self.machine.to_json()),
-            ("ppn", self.ppn.to_json()),
-            ("ranks", self.ranks.to_json()),
-            ("models", self.models.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ClusterNetwork {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let machine = Machine::from_json(v.field("machine")?)?;
-        let ppn = u32::from_json(v.field("ppn")?)?;
-        let ranks = u32::from_json(v.field("ranks")?)?;
-        let models = DomainModels::from_json(v.field("models")?)?;
+tracefmt::json_codec! {
+    struct ClusterNetwork { machine, ppn, ranks, models } => {
         if ranks == 0
             || ppn == 0
-            || ppn > machine.cores_per_node()
+            || ppn > Machine::cores_per_node(&machine)
             || (ranks - 1) / ppn >= machine.nodes
         {
             return Err(json::JsonError(format!(

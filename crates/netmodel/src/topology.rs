@@ -12,7 +12,7 @@
 //! 0, rank 1 → next core on the same socket, …), matching the process-core
 //! affinity enforcement described in Sec. III-A.
 
-use tracefmt::json::{self, FromJson, Json, ToJson};
+use tracefmt::json;
 
 /// Shape of a homogeneous cluster: every node has `sockets_per_node` sockets
 /// with `cores_per_socket` cores each.
@@ -152,25 +152,10 @@ impl Machine {
     }
 }
 
-impl ToJson for Machine {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("cores_per_socket", self.cores_per_socket.to_json()),
-            ("sockets_per_node", self.sockets_per_node.to_json()),
-            ("nodes", self.nodes.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Machine {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let cores_per_socket = u32::from_json(v.field("cores_per_socket")?)?;
-        let sockets_per_node = u32::from_json(v.field("sockets_per_node")?)?;
-        let nodes = u32::from_json(v.field("nodes")?)?;
+tracefmt::json_codec! {
+    struct Machine { cores_per_socket, sockets_per_node, nodes } => {
         if cores_per_socket == 0 || sockets_per_node == 0 || nodes == 0 {
-            return Err(json::JsonError(
-                "machine dimensions must be positive".into(),
-            ));
+            return Err(json::JsonError("machine dimensions must be positive".into()));
         }
         Ok(Machine::new(cores_per_socket, sockets_per_node, nodes))
     }

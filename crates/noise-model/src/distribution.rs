@@ -17,7 +17,6 @@
 //! Omni-Path without SMT, bimodal with a second component at ≈ 660 µs.
 
 use simdes::{SimDuration, SimRng};
-use tracefmt::json::{self, FromJson, Json, ToJson};
 
 /// A distribution of non-negative delays.
 ///
@@ -284,93 +283,16 @@ fn sample_exponential(rng: &mut SimRng, mean: SimDuration) -> SimDuration {
     SimDuration::from_secs_f64(rng.exp(mean.as_secs_f64()))
 }
 
-impl ToJson for DelayDistribution {
-    fn to_json(&self) -> Json {
-        match *self {
-            DelayDistribution::None => Json::Str("None".into()),
-            DelayDistribution::Constant(d) => Json::obj(vec![("Constant", d.to_json())]),
-            DelayDistribution::Exponential { mean } => Json::obj(vec![(
-                "Exponential",
-                Json::obj(vec![("mean", mean.to_json())]),
-            )]),
-            DelayDistribution::TruncatedExponential { mean, max } => Json::obj(vec![(
-                "TruncatedExponential",
-                Json::obj(vec![("mean", mean.to_json()), ("max", max.to_json())]),
-            )]),
-            DelayDistribution::Uniform { lo, hi } => Json::obj(vec![(
-                "Uniform",
-                Json::obj(vec![("lo", lo.to_json()), ("hi", hi.to_json())]),
-            )]),
-            DelayDistribution::Pareto { scale, alpha, max } => Json::obj(vec![(
-                "Pareto",
-                Json::obj(vec![
-                    ("scale", scale.to_json()),
-                    ("alpha", alpha.to_json()),
-                    ("max", max.to_json()),
-                ]),
-            )]),
-            DelayDistribution::Empirical { ref samples } => Json::obj(vec![(
-                "Empirical",
-                Json::obj(vec![("samples", samples.to_json())]),
-            )]),
-            DelayDistribution::Bimodal {
-                first_mean,
-                first_max,
-                second_center,
-                second_halfwidth,
-                p_second,
-            } => Json::obj(vec![(
-                "Bimodal",
-                Json::obj(vec![
-                    ("first_mean", first_mean.to_json()),
-                    ("first_max", first_max.to_json()),
-                    ("second_center", second_center.to_json()),
-                    ("second_halfwidth", second_halfwidth.to_json()),
-                    ("p_second", p_second.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for DelayDistribution {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let (variant, p) = v.expect_variant()?;
-        Ok(match variant {
-            "None" => DelayDistribution::None,
-            "Constant" => DelayDistribution::Constant(SimDuration::from_json(p)?),
-            "Exponential" => DelayDistribution::Exponential {
-                mean: SimDuration::from_json(p.field("mean")?)?,
-            },
-            "TruncatedExponential" => DelayDistribution::TruncatedExponential {
-                mean: SimDuration::from_json(p.field("mean")?)?,
-                max: SimDuration::from_json(p.field("max")?)?,
-            },
-            "Uniform" => DelayDistribution::Uniform {
-                lo: SimDuration::from_json(p.field("lo")?)?,
-                hi: SimDuration::from_json(p.field("hi")?)?,
-            },
-            "Pareto" => DelayDistribution::Pareto {
-                scale: SimDuration::from_json(p.field("scale")?)?,
-                alpha: f64::from_json(p.field("alpha")?)?,
-                max: SimDuration::from_json(p.field("max")?)?,
-            },
-            "Empirical" => DelayDistribution::Empirical {
-                samples: Vec::<u64>::from_json(p.field("samples")?)?,
-            },
-            "Bimodal" => DelayDistribution::Bimodal {
-                first_mean: SimDuration::from_json(p.field("first_mean")?)?,
-                first_max: SimDuration::from_json(p.field("first_max")?)?,
-                second_center: SimDuration::from_json(p.field("second_center")?)?,
-                second_halfwidth: SimDuration::from_json(p.field("second_halfwidth")?)?,
-                p_second: f64::from_json(p.field("p_second")?)?,
-            },
-            other => {
-                return Err(json::JsonError(format!(
-                    "unknown DelayDistribution variant '{other}'"
-                )))
-            }
-        })
+tracefmt::json_codec! {
+    enum DelayDistribution {
+        None,
+        Constant(_),
+        Exponential { mean },
+        TruncatedExponential { mean, max },
+        Uniform { lo, hi },
+        Pareto { scale, alpha, max },
+        Empirical { samples },
+        Bimodal { first_mean, first_max, second_center, second_halfwidth, p_second },
     }
 }
 
@@ -636,6 +558,7 @@ mod pareto_tests {
 mod empirical_tests {
     use super::*;
     use crate::Histogram;
+    use tracefmt::json;
 
     #[test]
     fn empirical_samples_only_recorded_values() {

@@ -12,7 +12,6 @@
 
 use simdes::{SeedFactory, SimDuration};
 use std::collections::BTreeMap;
-use tracefmt::json::{self, FromJson, Json, ToJson};
 
 /// One planned delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,42 +180,18 @@ impl InjectionPlan {
     }
 }
 
-impl ToJson for Injection {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("rank", self.rank.to_json()),
-            ("step", self.step.to_json()),
-            ("duration", self.duration.to_json()),
-        ])
-    }
+tracefmt::json_codec! {
+    struct Injection { rank, step, duration }
 }
 
-impl FromJson for Injection {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(Injection {
-            rank: u32::from_json(v.field("rank")?)?,
-            step: u32::from_json(v.field("step")?)?,
-            duration: SimDuration::from_json(v.field("duration")?)?,
-        })
-    }
-}
-
-impl ToJson for InjectionPlan {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![("injections", self.injections.to_json())])
-    }
-}
-
-impl FromJson for InjectionPlan {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let injections = Vec::<Injection>::from_json(v.field("injections")?)?;
-        Ok(InjectionPlan::from_list(injections))
-    }
+tracefmt::json_codec! {
+    struct InjectionPlan { injections } => Ok(InjectionPlan::from_list(injections))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tracefmt::json;
 
     const MS: SimDuration = SimDuration::from_millis(1);
 

@@ -463,18 +463,8 @@ pub fn duplicate_fingerprint_checks(ids: &[&str], fingerprints: &[u64]) -> Vec<D
     out
 }
 
-impl ToJson for WavePrediction {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("sigma", Json::UInt(u64::from(self.sigma))),
-            ("distance", Json::UInt(u64::from(self.distance))),
-            ("source_rank", Json::UInt(u64::from(self.source_rank))),
-            ("source_step", Json::UInt(u64::from(self.source_step))),
-            ("hops", Json::UInt(self.hops)),
-            ("exit_step", Json::UInt(self.exit_step)),
-            ("covers_run", Json::Bool(self.covers_run)),
-        ])
-    }
+tracefmt::json_codec! {
+    struct WavePrediction { sigma, distance, source_rank, source_step, hops, exit_step, covers_run }
 }
 
 impl ToJson for BudgetReport {

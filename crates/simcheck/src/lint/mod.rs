@@ -256,6 +256,23 @@ mod tests {
     }
 
     #[test]
+    fn hand_written_decoders_are_flagged_outside_the_codec() {
+        let src = "impl FromJson for Config {\n";
+        assert_eq!(rules_hit("crates/x/src/lib.rs", src), ["hand-codec"]);
+        let qualified = "impl<T: FromJson> tracefmt::json::FromJson for Wrap<T> {\n";
+        assert_eq!(rules_hit("crates/x/src/lib.rs", qualified), ["hand-codec"]);
+        assert!(rules_hit("crates/tracefmt/src/json.rs", src).is_empty());
+        assert!(rules_hit("crates/x/tests/t.rs", src).is_empty());
+        // Encoders and the codec macro itself are fine.
+        assert!(rules_hit("crates/x/src/lib.rs", "impl ToJson for Config {\n").is_empty());
+        assert!(rules_hit("crates/x/src/lib.rs", "tracefmt::json_codec! {\n").is_empty());
+        let allowed = "// simlint: allow(hand-codec) — not a record\nimpl FromJson for Odd {\n";
+        let (viol, supp) = lint_source("crates/x/src/lib.rs", allowed);
+        assert!(viol.is_empty(), "{viol:?}");
+        assert_eq!(supp, 1);
+    }
+
+    #[test]
     fn mode_matches_in_inline_handlers_are_confined_to_dispatch() {
         let bad = "#[inline]\nfn on_eager(&mut self) {\n    match self.base_mode {\n        Mode::Eager => {}\n        Mode::Rendezvous => {}\n    }\n}\n";
         assert_eq!(

@@ -14,6 +14,7 @@
 //! | `panics-doc` | panicking `pub fn` without a `# Panics` doc section | non-test code |
 //! | `process-exit` | `process::exit` (bypasses destructors; return `ExitCode` from `main` instead) | non-test code outside `src/bin` directories |
 //! | `mode-match-in-inline-handler` | `match` on a `Mode` scrutinee inside an `#[inline]` fn (protocol decisions belong in the dispatch specialization, picked once per run) | non-test code outside `engine/dispatch.rs` |
+//! | `hand-codec` | a hand-written `impl FromJson for` (declare the wire form with `tracefmt::json_codec!`, whose decoder rejects unknown and duplicate keys) | non-test code outside `crates/tracefmt/src/json.rs` |
 //!
 //! Suppress a finding with `// simlint: allow(<rule>)` on the same line or
 //! the line directly above; several rules may be comma-separated.
@@ -24,7 +25,7 @@ use super::lexer::Lexed;
 use super::Violation;
 
 /// All rule names, in reporting order.
-pub const RULES: [&str; 9] = [
+pub const RULES: [&str; 10] = [
     "wall-clock",
     "hash-collections",
     "float-cmp",
@@ -34,6 +35,7 @@ pub const RULES: [&str; 9] = [
     "panics-doc",
     "process-exit",
     "mode-match-in-inline-handler",
+    "hand-codec",
 ];
 
 /// One file prepared for rule checks.
@@ -186,6 +188,16 @@ pub(crate) fn check_file(ctx: &FileContext<'_>) -> (Vec<Violation>, usize) {
         // from `main` instead; only `src/bin` trees are exempt.
         if !test_code && !ctx.path.contains("src/bin/") && masked.contains("process::exit") {
             ctx.hit("process-exit", line, &mut out, &mut suppressed);
+        }
+        // A hand-written decoder tends to read the keys it knows and skip
+        // the rest, so a typo silently runs the default. Shapes the codec
+        // macro cannot declare say why in a pragma.
+        if !test_code
+            && !ctx.path.ends_with("crates/tracefmt/src/json.rs")
+            && contains_word(masked, "impl")
+            && masked.contains("FromJson for ")
+        {
+            ctx.hit("hand-codec", line, &mut out, &mut suppressed);
         }
     }
     panics_doc(ctx, &mut out, &mut suppressed);

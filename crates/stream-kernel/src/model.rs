@@ -18,7 +18,6 @@
 //! instantaneous bandwidth contention.
 
 use simdes::SimDuration;
-use tracefmt::json::{self, FromJson, Json, ToJson};
 
 /// Parameters of the Fig. 1 experiment and its Eq. 1 model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,26 +92,8 @@ impl TriadScalingModel {
     }
 }
 
-impl ToJson for TriadScalingModel {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("vmem_bytes", self.vmem_bytes.to_json()),
-            ("vnet_bytes", self.vnet_bytes.to_json()),
-            ("domain_bw_bps", self.domain_bw_bps.to_json()),
-            ("bnet_bps", self.bnet_bps.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TriadScalingModel {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(TriadScalingModel {
-            vmem_bytes: u64::from_json(v.field("vmem_bytes")?)?,
-            vnet_bytes: u64::from_json(v.field("vnet_bytes")?)?,
-            domain_bw_bps: f64::from_json(v.field("domain_bw_bps")?)?,
-            bnet_bps: f64::from_json(v.field("bnet_bps")?)?,
-        })
-    }
+tracefmt::json_codec! {
+    struct TriadScalingModel { vmem_bytes, vnet_bytes, domain_bw_bps, bnet_bps }
 }
 
 #[cfg(test)]

@@ -15,6 +15,10 @@
 //! * missing optional fields default (where the old derive said
 //!   `#[serde(default)]`).
 //!
+//! Records and enums declare that form once with [`json_codec!`](crate::json_codec),
+//! which generates both conversions. Its decoders are strict where the
+//! old derives were lenient: an unknown or repeated key is an error.
+//!
 //! Numbers keep full precision: unsigned and signed integers are carried as
 //! `u64`/`i64` (nanosecond timestamps exceed 2⁵³ and must not transit
 //! through `f64`), floats are emitted with `{:?}` which is Rust's shortest
@@ -763,8 +767,18 @@ impl<T: ToJson> ToJson for Vec<T> {
 
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(v: &Json) -> Result<Self> {
-        v.expect_array()?.iter().map(T::from_json).collect()
+        v.expect_array()?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::from_json(item).map_err(|e| at_index(i, e)))
+            .collect()
     }
+}
+
+#[cold]
+#[inline(never)]
+fn at_index(i: usize, e: JsonError) -> JsonError {
+    JsonError(format!("[{i}]: {}", e.0))
 }
 
 impl<T: ToJson> ToJson for Option<T> {
@@ -824,13 +838,448 @@ impl FromJson for SimDuration {
     }
 }
 
-/// Read an optional field, substituting the type's `Default` when the field
-/// is absent or `null` — the analogue of `#[serde(default)]`.
-pub fn field_or_default<T: FromJson + Default>(obj: &Json, key: &str) -> Result<T> {
-    match obj.get(key) {
-        Some(v) if !v.is_null() => T::from_json(v),
-        _ => Ok(T::default()),
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
     }
+}
+
+impl<T: ToJson> ToJson for Box<T> {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+
+impl<T: FromJson> FromJson for Box<T> {
+    fn from_json(v: &Json) -> Result<Self> {
+        T::from_json(v).map(Box::new)
+    }
+}
+
+/// Fixed-size arrays and tuples travel as JSON arrays of that length.
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn to_json(&self) -> Json {
+        Json::Array(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: FromJson, const N: usize> FromJson for [T; N] {
+    fn from_json(v: &Json) -> Result<Self> {
+        let items = expect_len(v, N)?;
+        let decoded = items.iter().map(T::from_json).collect::<Result<Vec<T>>>()?;
+        decoded
+            .try_into()
+            .map_err(|_| JsonError(format!("expected {N}-element array")))
+    }
+}
+
+fn expect_len(v: &Json, n: usize) -> Result<&[Json]> {
+    let items = v.expect_array()?;
+    if items.len() != n {
+        return err(format!(
+            "expected {n}-element array, got {} elements",
+            items.len()
+        ));
+    }
+    Ok(items)
+}
+
+macro_rules! impl_json_tuple {
+    ($n:literal: $($t:ident $i:tt),+) => {
+        impl<$($t: ToJson),+> ToJson for ($($t,)+) {
+            fn to_json(&self) -> Json {
+                Json::Array(vec![$(self.$i.to_json()),+])
+            }
+        }
+        impl<$($t: FromJson),+> FromJson for ($($t,)+) {
+            fn from_json(v: &Json) -> Result<Self> {
+                let items = expect_len(v, $n)?;
+                Ok(($($t::from_json(&items[$i])?,)+))
+            }
+        }
+    };
+}
+
+impl_json_tuple!(2: A 0, B 1);
+impl_json_tuple!(3: A 0, B 1, C 2);
+
+// ---------------------------------------------------------------------------
+// Declarative record codec
+// ---------------------------------------------------------------------------
+
+/// Declare the JSON form of a record or an enum and generate both its
+/// [`ToJson`] and its [`FromJson`] impl from the one declaration, so the
+/// encoder and the decoder cannot disagree about the keys.
+///
+/// ```
+/// use tracefmt::json::{self, FromJson};
+///
+/// #[derive(Debug, PartialEq)]
+/// pub struct Link { pub latency: u64, pub scale: f64, pub label: Option<String> }
+/// tracefmt::json_codec! {
+///     struct Link { latency, scale = 1.0, label = None }
+/// }
+///
+/// #[derive(Debug, PartialEq)]
+/// pub enum Shape { Flat, Scaled(f64), Ring { ranks: u32 }, Star }
+/// tracefmt::json_codec! {
+///     enum Shape { Flat, Scaled(_), Ring { ranks }, Star = "star" }
+/// }
+///
+/// assert_eq!(
+///     json::to_string(&Link { latency: 3, scale: 1.0, label: None }),
+///     r#"{"latency":3,"scale":1.0,"label":null}"#
+/// );
+/// assert_eq!(json::from_str::<Link>(r#"{"latency":3}"#).unwrap().scale, 1.0);
+/// let typo = json::from_str::<Link>(r#"{"latency":3,"scael":2.0}"#).unwrap_err();
+/// assert_eq!(typo.0, "unknown key 'scael' in Link (did you mean 'scale'?)");
+/// assert_eq!(json::to_string(&Shape::Ring { ranks: 4 }), r#"{"Ring":{"ranks":4}}"#);
+/// assert_eq!(json::from_str::<Shape>(r#""star""#).unwrap(), Shape::Star);
+/// ```
+///
+/// **Records** list their keys in encoding order. Each key is a field of
+/// the same name, encoded with its [`ToJson`]. A key is required unless it
+/// names a default (`key = expr`), which a missing or `null` key takes.
+/// Constant tags go in brackets before the fields
+/// (`struct Report [schema = SCHEMA] { .. }`): they are written first and
+/// must read back equal. A record whose decoded fields still need
+/// checking, or that derives private state, ends in `=> expr`: the
+/// decoded fields are then bound to locals of the same names, and `expr`
+/// builds the value as a [`Result`].
+///
+/// **Enums** are externally tagged, as serde does by default: a unit
+/// variant is its name as a string, a newtype variant `V(_)` is
+/// `{"V": payload}`, and a struct variant `V { a, b }` is
+/// `{"V": {"a": .., "b": ..}}`, its payload decoded like a record.
+/// `V = "name"` renames a unit variant on the wire. An internally tagged
+/// enum (`enum Reply in "type" { Pong { nonce } = "pong", Stats(stats) =
+/// "stats", Draining = "draining" }`) names every variant's tag value;
+/// the variant's keys sit next to the tag, and a newtype variant's
+/// payload goes under its own key.
+///
+/// Decoding is strict and walks each record's entries once: a key that is
+/// not declared, a key given twice, a missing required key, and a value
+/// of the wrong type are all errors naming the key and the type.
+#[macro_export]
+macro_rules! json_codec {
+    (struct $ty:ident $([$($tag:ident = $tag_value:expr),* $(,)?])?
+        { $($field:ident $(= $default:expr)?),* $(,)? } $(=> $build:expr)?) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::Object(vec![
+                    $($((stringify!($tag).to_string(), $crate::json::ToJson::to_json(&$tag_value)),)*)?
+                    $((stringify!($field).to_string(), $crate::json::ToJson::to_json(&self.$field)),)*
+                ])
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(v: &$crate::json::Json) -> $crate::json::Result<Self> {
+                $crate::json_codec!(@decode v, stringify!($ty),
+                    [$($($tag = $tag_value),*)?], [], [$($field $(= $default)?),*],
+                    $crate::json_codec!(@build $ty [$($field),*] $($build)?))
+            }
+        }
+    };
+    (enum $ty:ident { $($variant:ident $(($newtype:tt))? $({ $($vfield:ident),* $(,)? })?
+        $(= $name:literal)?),* $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                match self {
+                    $($crate::json_codec!(@pattern $ty $variant payload
+                        [$($newtype)?] [$({ $($vfield),* })?])
+                    => $crate::json_codec!(@encode payload,
+                        $crate::json_codec!(@name $variant $($name)?),
+                        [$($newtype)?] [$({ $($vfield),* })?]),)*
+                }
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(v: &$crate::json::Json) -> $crate::json::Result<Self> {
+                const NAMES: &[&str] = &[$($crate::json_codec!(@name $variant $($name)?)),*];
+                let (name, payload) = $crate::json::variant_parts(v, stringify!($ty))?;
+                match name {
+                    $($crate::json_codec!(@name $variant $($name)?) => $crate::json_codec!(
+                        @variant $ty $variant payload [$($newtype)?] [$({ $($vfield),* })?]),)*
+                    other => Err($crate::json::unknown(other, "variant", stringify!($ty), NAMES)),
+                }
+            }
+        }
+    };
+
+    (enum $ty:ident in $tag:literal { $($variant:ident $(($key:ident))?
+        $({ $($vfield:ident $(= $vdefault:expr)?),* $(,)? })? = $name:literal),* $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                match self {
+                    $($crate::json_codec!(@pattern $ty $variant payload [$($key)?] [$({ $($vfield),* })?])
+                    => $crate::json::Json::Object(vec![
+                        ($tag.to_string(), $crate::json::Json::Str($name.to_string())),
+                        $((stringify!($key).to_string(), $crate::json::ToJson::to_json($key)),)?
+                        $($((stringify!($vfield).to_string(), $crate::json::ToJson::to_json($vfield)),)*)?
+                    ]),)*
+                }
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(v: &$crate::json::Json) -> $crate::json::Result<Self> {
+                const NAMES: &[&str] = &[$($name),*];
+                match $crate::json::tag_of(v, $tag, stringify!($ty))? {
+                    $($name => $crate::json_codec!(@decode v,
+                        concat!(stringify!($ty), "::", stringify!($variant)), [], [$tag],
+                        [$($key)? $($($vfield $(= $vdefault)?),*)?],
+                        Ok($crate::json_codec!(@pattern $ty $variant payload
+                            [$($key)?] [$({ $($vfield),* })?]))),)*
+                    other => Err($crate::json::unknown(other, concat!("record ", $tag), stringify!($ty), NAMES)),
+                }
+            }
+        }
+    };
+
+    // --- internals -------------------------------------------------------
+    (@decode $v:ident, $ty:expr, [$($tag:ident = $tag_value:expr),*], [$($skip:literal)?],
+        [$($field:ident $(= $default:expr)?),*], $build:expr) => {{
+        const KEYS: &[&str] = &[$(stringify!($tag),)* $(stringify!($field)),*];
+        $(let mut $tag = None;)*
+        $(let mut $field = None;)*
+        for (key, value) in $crate::json::object_entries($v, $ty)? {
+            match key.as_str() {
+                $($skip => {})?
+                $(stringify!($tag) => $crate::json::decode_key::<$crate::json::Json>(
+                    &mut $tag, value, false, $ty, key)?,)*
+                $(stringify!($field) => $crate::json::decode_key(&mut $field, value,
+                    $crate::json_codec!(@has_default $($default)?), $ty, key)?,)*
+                other => return Err($crate::json::unknown(other, "key", $ty, KEYS)),
+            }
+        }
+        $($crate::json::check_tag($tag, &$tag_value, $ty, stringify!($tag))?;)*
+        $(let $field = match $field {
+            Some(Some(value)) => value,
+            _ => $crate::json_codec!(@missing $ty, $field $(, $default)?),
+        };)*
+        $build
+    }};
+    (@build $ty:ident [$($field:ident),*]) => { Ok($ty { $($field),* }) };
+    (@build $ty:ident [$($field:ident),*] $build:expr) => { $build };
+    (@has_default) => { false };
+    (@has_default $default:expr) => { true };
+    (@missing $ty:expr, $field:ident) => { return Err($crate::json::missing(stringify!($field), $ty)) };
+    (@missing $ty:expr, $field:ident, $default:expr) => { $default };
+    (@name $variant:ident) => { stringify!($variant) };
+    (@name $variant:ident $name:literal) => { $name };
+    (@pattern $ty:ident $variant:ident $payload:ident [] []) => { $ty::$variant };
+    (@pattern $ty:ident $variant:ident $payload:ident [_] []) => { $ty::$variant($payload) };
+    (@pattern $ty:ident $variant:ident $payload:ident [$key:ident] []) => { $ty::$variant($key) };
+    (@pattern $ty:ident $variant:ident $payload:ident [] [{ $($vfield:ident),* }]) => {
+        $ty::$variant { $($vfield),* }
+    };
+    (@encode $payload:ident, $name:expr, [] []) => { $crate::json::Json::Str($name.to_string()) };
+    (@encode $payload:ident, $name:expr, [_] []) => {
+        $crate::json::Json::Object(vec![($name.to_string(), $crate::json::ToJson::to_json($payload))])
+    };
+    (@encode $payload:ident, $name:expr, [] [{ $($vfield:ident),* }]) => {
+        $crate::json::Json::Object(vec![($name.to_string(), $crate::json::Json::Object(vec![
+            $((stringify!($vfield).to_string(), $crate::json::ToJson::to_json($vfield))),*
+        ]))])
+    };
+    (@variant $ty:ident $variant:ident $payload:ident [] []) => {
+        $crate::json::unit_variant($payload, stringify!($ty), stringify!($variant)).map(|()| $ty::$variant)
+    };
+    (@variant $ty:ident $variant:ident $payload:ident [_] []) => {
+        $crate::json::FromJson::from_json(
+            $crate::json::payload_of($payload, stringify!($ty), stringify!($variant))?,
+        )
+        .map($ty::$variant)
+        .map_err(|e| $crate::json::nested(concat!(stringify!($ty), "::", stringify!($variant)), e))
+    };
+    (@variant $ty:ident $variant:ident $payload:ident [] [{ $($vfield:ident),* }]) => {{
+        let body = $crate::json::payload_of($payload, stringify!($ty), stringify!($variant))?;
+        $crate::json_codec!(@decode body, concat!(stringify!($ty), "::", stringify!($variant)),
+            [], [], [$($vfield),*], Ok($ty::$variant { $($vfield),* }))
+    }};
+}
+
+/// The entries of the object `v` decoded as a `ty`.
+#[doc(hidden)]
+pub fn object_entries<'a>(v: &'a Json, ty: &str) -> Result<&'a [(String, Json)]> {
+    v.as_object().ok_or_else(|| not_an_object(ty, v))
+}
+
+#[cold]
+#[inline(never)]
+fn not_an_object(ty: &str, v: &Json) -> JsonError {
+    JsonError(format!("expected object for {ty}, got {}", v.kind()))
+}
+
+/// Decode `value` into the slot of key `key` of a `ty`: a slot already
+/// filled means the key was repeated, and `null` leaves a defaulted key
+/// (`null_is_absent`) at its default.
+///
+/// Out of line, so every key of one type shares one copy: inlined, the
+/// nested decoders made each record's decoder several times the size of
+/// the hand-written one it replaced.
+#[doc(hidden)]
+#[inline(never)]
+pub fn decode_key<T: FromJson>(
+    slot: &mut Option<Option<T>>,
+    value: &Json,
+    null_is_absent: bool,
+    ty: &str,
+    key: &str,
+) -> Result<()> {
+    if slot.is_some() {
+        return Err(duplicate(key, ty));
+    }
+    *slot = Some(if null_is_absent && value.is_null() {
+        None
+    } else {
+        Some(T::from_json(value).map_err(|e| in_key(ty, key, e))?)
+    });
+    Ok(())
+}
+
+// The error constructors stay out of line: every declared record
+// instantiates the decoder, and only malformed input reaches them.
+
+#[cold]
+#[inline(never)]
+fn duplicate(key: &str, ty: &str) -> JsonError {
+    JsonError(format!("duplicate key '{key}' in {ty}"))
+}
+
+#[cold]
+#[inline(never)]
+fn in_key(ty: &str, key: &str, e: JsonError) -> JsonError {
+    JsonError(format!("{ty}.{key}: {}", e.0))
+}
+
+/// The error for an absent required key `key` of a `ty`.
+#[doc(hidden)]
+#[cold]
+#[inline(never)]
+pub fn missing(key: &str, ty: &str) -> JsonError {
+    JsonError(format!("missing key '{key}' in {ty}"))
+}
+
+/// An error from inside `context`, prefixed with it.
+#[doc(hidden)]
+#[cold]
+#[inline(never)]
+pub fn nested(context: &str, e: JsonError) -> JsonError {
+    JsonError(format!("{context}: {}", e.0))
+}
+
+/// A constant tag of a `ty` record must be present with its one value.
+#[doc(hidden)]
+pub fn check_tag<T: ToJson + ?Sized>(
+    found: Option<Option<Json>>,
+    want: &T,
+    ty: &str,
+    key: &str,
+) -> Result<()> {
+    let want = want.to_json();
+    match found.flatten() {
+        Some(v) if v == want => Ok(()),
+        Some(v) => err(format!(
+            "{ty}.{key}: expected {}, got {}",
+            want.dump(),
+            v.dump()
+        )),
+        None => Err(missing(key, ty)),
+    }
+}
+
+/// The string under key `tag` of an internally tagged `ty`.
+#[doc(hidden)]
+pub fn tag_of<'a>(v: &'a Json, tag: &str, ty: &str) -> Result<&'a str> {
+    let entries = object_entries(v, ty)?;
+    let mut found = entries.iter().filter(|(k, _)| k == tag);
+    match (found.next(), found.next()) {
+        (Some(_), Some(_)) => err(format!("duplicate key '{tag}' in {ty}")),
+        (Some((_, value)), None) => value
+            .as_str()
+            .ok_or_else(|| JsonError(format!("{ty}.{tag}: expected string, got {}", value.kind()))),
+        (None, _) => {
+            let keys: Vec<String> = entries.iter().map(|(k, _)| format!("'{k}'")).collect();
+            err(format!(
+                "{ty} record has no \"{tag}\" field (keys: {})",
+                keys.join(", ")
+            ))
+        }
+    }
+}
+
+/// The variant name and payload of an externally tagged `ty`: a bare
+/// string, or a one-key object.
+#[doc(hidden)]
+pub fn variant_parts<'a>(v: &'a Json, ty: &str) -> Result<(&'a str, Option<&'a Json>)> {
+    match v {
+        Json::Str(name) => Ok((name, None)),
+        Json::Object(fields) if fields.len() == 1 => Ok((&fields[0].0, Some(&fields[0].1))),
+        other => Err(not_a_variant(ty, other)),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn not_a_variant(ty: &str, v: &Json) -> JsonError {
+    let got = match v {
+        Json::Object(fields) => {
+            let keys: Vec<String> = fields.iter().map(|(k, _)| format!("'{k}'")).collect();
+            format!("keys {}", keys.join(", "))
+        }
+        other => other.kind().to_string(),
+    };
+    JsonError(format!(
+        "expected {ty} variant (string or single-key object), got {got}"
+    ))
+}
+
+/// A unit variant is a bare string and carries no payload.
+#[doc(hidden)]
+pub fn unit_variant(payload: Option<&Json>, ty: &str, variant: &str) -> Result<()> {
+    match payload {
+        None => Ok(()),
+        Some(_) => err(format!(
+            "{ty}::{variant} is written as the bare string \"{variant}\""
+        )),
+    }
+}
+
+/// The payload of a newtype or struct variant.
+#[doc(hidden)]
+pub fn payload_of<'a>(payload: Option<&'a Json>, ty: &str, variant: &str) -> Result<&'a Json> {
+    payload.ok_or_else(|| JsonError(format!("{ty}::{variant} needs a payload object")))
+}
+
+/// The error for an undeclared key or variant `name` of `ty`, suggesting
+/// the nearest declared one. Only the error path pays for the search.
+#[doc(hidden)]
+#[cold]
+#[inline(never)]
+pub fn unknown(name: &str, what: &str, ty: &str, declared: &[&str]) -> JsonError {
+    let nearest = declared.iter().min_by_key(|d| edit_distance(name, d));
+    JsonError(match nearest {
+        Some(d) => format!("unknown {what} '{name}' in {ty} (did you mean '{d}'?)"),
+        None => format!("unknown {what} '{name}' in {ty} (it declares none)"),
+    })
+}
+
+/// Levenshtein distance over chars.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let next = (diag + usize::from(ca != cb))
+                .min(row[j] + 1)
+                .min(row[j + 1] + 1);
+            diag = row[j + 1];
+            row[j + 1] = next;
+        }
+    }
+    row[b.len()]
 }
 
 #[cfg(test)]
@@ -995,17 +1444,5 @@ mod tests {
         assert_eq!(from_str::<SimDuration>("456").unwrap(), SimDuration(456));
         let big = SimTime(u64::MAX - 1);
         assert_eq!(from_str::<SimTime>(&to_string(&big)).unwrap(), big);
-    }
-
-    #[test]
-    fn field_or_default_handles_absent_and_null() {
-        let v = Json::parse(r#"{"present": 9, "nulled": null}"#).unwrap();
-        assert_eq!(field_or_default::<u64>(&v, "present").unwrap(), 9);
-        assert_eq!(field_or_default::<u64>(&v, "nulled").unwrap(), 0);
-        assert_eq!(field_or_default::<u64>(&v, "absent").unwrap(), 0);
-        assert_eq!(
-            field_or_default::<Vec<f64>>(&v, "absent").unwrap(),
-            Vec::<f64>::new()
-        );
     }
 }

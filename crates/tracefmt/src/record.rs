@@ -9,8 +9,6 @@
 
 use simdes::{SimDuration, SimTime};
 
-use crate::json::{self, FromJson, Json, ToJson};
-
 /// Timing of one execution + communication cycle on one rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseRecord {
@@ -112,37 +110,14 @@ impl PhaseRecord {
     }
 }
 
-impl ToJson for PhaseRecord {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("rank", self.rank.to_json()),
-            ("step", self.step.to_json()),
-            ("exec_start", self.exec_start.to_json()),
-            ("exec_end", self.exec_end.to_json()),
-            ("comm_end", self.comm_end.to_json()),
-            ("injected", self.injected.to_json()),
-            ("noise", self.noise.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PhaseRecord {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(PhaseRecord {
-            rank: u32::from_json(v.field("rank")?)?,
-            step: u32::from_json(v.field("step")?)?,
-            exec_start: SimTime::from_json(v.field("exec_start")?)?,
-            exec_end: SimTime::from_json(v.field("exec_end")?)?,
-            comm_end: SimTime::from_json(v.field("comm_end")?)?,
-            injected: SimDuration::from_json(v.field("injected")?)?,
-            noise: SimDuration::from_json(v.field("noise")?)?,
-        })
-    }
+crate::json_codec! {
+    struct PhaseRecord { rank, step, exec_start, exec_end, comm_end, injected, noise }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     fn rec() -> PhaseRecord {
         PhaseRecord {

@@ -3,7 +3,7 @@
 
 use simdes::{SimDuration, SimTime};
 
-use crate::json::{self, FromJson, Json, ToJson};
+use crate::json;
 use crate::record::PhaseRecord;
 
 /// A complete run trace: `ranks × steps` phase records in rank-major order.
@@ -21,38 +21,42 @@ impl Trace {
     /// # Panics
     /// Panics if coverage is incomplete, duplicated, or out of range.
     pub fn from_records(ranks: u32, steps: u32, records: Vec<PhaseRecord>) -> Self {
-        assert!(ranks > 0 && steps > 0, "empty trace dimensions");
+        Trace::checked(ranks, steps, records).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// [`Trace::from_records`] that reports a coverage violation instead of
+    /// panicking on it.
+    fn checked(ranks: u32, steps: u32, records: Vec<PhaseRecord>) -> Result<Self, String> {
+        if ranks == 0 || steps == 0 {
+            return Err(format!("empty trace dimensions {ranks}x{steps}"));
+        }
         let n = ranks as usize * steps as usize;
-        assert_eq!(
-            records.len(),
-            n,
-            "expected {n} records, got {}",
-            records.len()
-        );
+        if records.len() != n {
+            return Err(format!("expected {n} records, got {}", records.len()));
+        }
         let mut slots: Vec<Option<PhaseRecord>> = vec![None; n];
         for r in records {
-            assert!(
-                r.rank < ranks && r.step < steps,
-                "record out of range: {r:?}"
-            );
+            if r.rank >= ranks || r.step >= steps {
+                return Err(format!("record out of range: {r:?}"));
+            }
             let idx = r.rank as usize * steps as usize + r.step as usize;
-            assert!(
-                slots[idx].is_none(),
-                "duplicate record for rank {} step {}",
-                r.rank,
-                r.step
-            );
+            if slots[idx].is_some() {
+                return Err(format!(
+                    "duplicate record for rank {} step {}",
+                    r.rank, r.step
+                ));
+            }
             slots[idx] = Some(r);
         }
         let records = slots
             .into_iter()
             .map(|s| s.expect("checked full"))
             .collect();
-        Trace {
+        Ok(Trace {
             ranks,
             steps,
             records,
-        }
+        })
     }
 
     /// [`Trace::from_records`] for pooled engines: drains `records`,
@@ -187,53 +191,15 @@ impl Trace {
     }
 }
 
-impl ToJson for Trace {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("ranks", self.ranks.to_json()),
-            ("steps", self.steps.to_json()),
-            ("records", self.records.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Trace {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let ranks = u32::from_json(v.field("ranks")?)?;
-        let steps = u32::from_json(v.field("steps")?)?;
-        let records = Vec::<PhaseRecord>::from_json(v.field("records")?)?;
-        // Re-validate through the asserting constructor, but surface
-        // malformed input as a parse error instead of a panic.
-        let n = (ranks as usize)
-            .checked_mul(steps as usize)
-            .unwrap_or(usize::MAX);
-        if ranks == 0 || steps == 0 || records.len() != n {
-            return Err(json::JsonError(format!(
-                "trace shape mismatch: {ranks}x{steps} with {} records",
-                records.len()
-            )));
-        }
-        if records.iter().any(|r| r.rank >= ranks || r.step >= steps) {
-            return Err(json::JsonError("trace record out of range".into()));
-        }
-        let mut seen = vec![false; n];
-        for r in &records {
-            let idx = r.rank as usize * steps as usize + r.step as usize;
-            if seen[idx] {
-                return Err(json::JsonError(format!(
-                    "duplicate trace record for rank {} step {}",
-                    r.rank, r.step
-                )));
-            }
-            seen[idx] = true;
-        }
-        Ok(Trace::from_records(ranks, steps, records))
-    }
+crate::json_codec! {
+    struct Trace { ranks, steps, records }
+        => Trace::checked(ranks, steps, records).map_err(json::JsonError)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{FromJson, Json, ToJson};
 
     /// A hand-built 2-rank, 2-step trace where rank 1 idles in step 0.
     fn tiny() -> Trace {

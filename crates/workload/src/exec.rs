@@ -19,7 +19,6 @@
 //! rates.
 
 use simdes::SimDuration;
-use tracefmt::json::{self, FromJson, Json, ToJson};
 
 /// Throughput of one `vdivpd` (4-wide double divide) on Ivy Bridge:
 /// one instruction per 28 clock cycles (paper Sec. III-B, citing Hofmann et
@@ -129,45 +128,10 @@ impl ExecModel {
     }
 }
 
-impl ToJson for ExecModel {
-    fn to_json(&self) -> Json {
-        match *self {
-            ExecModel::Compute { duration } => Json::obj(vec![(
-                "Compute",
-                Json::obj(vec![("duration", duration.to_json())]),
-            )]),
-            ExecModel::MemoryBound {
-                bytes,
-                core_bw_bps,
-                socket_bw_bps,
-            } => Json::obj(vec![(
-                "MemoryBound",
-                Json::obj(vec![
-                    ("bytes", bytes.to_json()),
-                    ("core_bw_bps", core_bw_bps.to_json()),
-                    ("socket_bw_bps", socket_bw_bps.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for ExecModel {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let (variant, p) = v.expect_variant()?;
-        match variant {
-            "Compute" => Ok(ExecModel::Compute {
-                duration: SimDuration::from_json(p.field("duration")?)?,
-            }),
-            "MemoryBound" => Ok(ExecModel::MemoryBound {
-                bytes: u64::from_json(p.field("bytes")?)?,
-                core_bw_bps: f64::from_json(p.field("core_bw_bps")?)?,
-                socket_bw_bps: f64::from_json(p.field("socket_bw_bps")?)?,
-            }),
-            other => Err(json::JsonError(format!(
-                "unknown ExecModel variant '{other}'"
-            ))),
-        }
+tracefmt::json_codec! {
+    enum ExecModel {
+        Compute { duration },
+        MemoryBound { bytes, core_bw_bps, socket_bw_bps },
     }
 }
 

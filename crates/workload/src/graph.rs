@@ -12,7 +12,7 @@
 //!   allreduce is `log₂(n)` rounds of pairwise exchanges at doubling
 //!   distances).
 
-use tracefmt::json::{self, FromJson, Json, ToJson};
+use tracefmt::json;
 
 /// A directed communication graph for one bulk-synchronous step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,19 +31,31 @@ impl CommGraph {
     /// (one message per ordered pair per step is the engine's matching
     /// granularity).
     pub fn from_sends(sends: Vec<Vec<u32>>) -> Self {
+        CommGraph::checked(sends).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// [`CommGraph::from_sends`] that reports an invalid edge instead of
+    /// panicking on it.
+    fn checked(sends: Vec<Vec<u32>>) -> Result<Self, String> {
         let n = sends.len() as u32;
-        assert!(n > 0, "empty graph");
+        if n == 0 {
+            return Err("empty graph".into());
+        }
         let mut recvs = vec![Vec::new(); sends.len()];
         for (r, targets) in sends.iter().enumerate() {
             let mut seen = std::collections::BTreeSet::new();
             for &t in targets {
-                assert!(t < n, "rank {r} sends to out-of-range rank {t}");
-                assert!(t as usize != r, "rank {r} sends to itself");
-                assert!(seen.insert(t), "rank {r} sends twice to {t}");
+                if t >= n {
+                    return Err(format!("rank {r} sends to out-of-range rank {t}"));
+                } else if t as usize == r {
+                    return Err(format!("rank {r} sends to itself"));
+                } else if !seen.insert(t) {
+                    return Err(format!("rank {r} sends twice to {t}"));
+                }
                 recvs[t as usize].push(r as u32);
             }
         }
-        CommGraph { sends, recvs }
+        Ok(CommGraph { sends, recvs })
     }
 
     /// Number of ranks.
@@ -122,54 +134,13 @@ pub struct CommSchedule {
     rounds: Vec<CommGraph>,
 }
 
-impl ToJson for CommGraph {
-    fn to_json(&self) -> Json {
-        // The inverse adjacency is derived, so only the send lists travel.
-        Json::obj(vec![("sends", self.sends.to_json())])
-    }
+// The inverse adjacency is derived, so only the send lists travel.
+tracefmt::json_codec! {
+    struct CommGraph { sends } => CommGraph::checked(sends).map_err(json::JsonError)
 }
 
-impl FromJson for CommGraph {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let sends = Vec::<Vec<u32>>::from_json(v.field("sends")?)?;
-        let n = sends.len() as u32;
-        if n == 0 {
-            return Err(json::JsonError("empty graph".into()));
-        }
-        for (r, targets) in sends.iter().enumerate() {
-            let mut seen = std::collections::BTreeSet::new();
-            for &t in targets {
-                if t >= n || t as usize == r || !seen.insert(t) {
-                    return Err(json::JsonError(format!(
-                        "invalid edge {r} -> {t} in comm graph"
-                    )));
-                }
-            }
-        }
-        Ok(CommGraph::from_sends(sends))
-    }
-}
-
-impl ToJson for CommSchedule {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![("rounds", self.rounds.to_json())])
-    }
-}
-
-impl FromJson for CommSchedule {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        let rounds = Vec::<CommGraph>::from_json(v.field("rounds")?)?;
-        if rounds.is_empty() {
-            return Err(json::JsonError("schedule needs at least one round".into()));
-        }
-        let n = rounds[0].ranks();
-        if rounds.iter().any(|g| g.ranks() != n) {
-            return Err(json::JsonError(
-                "schedule rounds disagree on rank count".into(),
-            ));
-        }
-        Ok(CommSchedule::cyclic(rounds))
-    }
+tracefmt::json_codec! {
+    struct CommSchedule { rounds } => CommSchedule::checked(rounds).map_err(json::JsonError)
 }
 
 impl CommSchedule {
@@ -178,13 +149,19 @@ impl CommSchedule {
     /// # Panics
     /// Panics if `rounds` is empty or the graphs disagree on rank count.
     pub fn cyclic(rounds: Vec<CommGraph>) -> Self {
-        assert!(!rounds.is_empty(), "schedule needs at least one round");
-        let n = rounds[0].ranks();
-        assert!(
-            rounds.iter().all(|g| g.ranks() == n),
-            "all rounds must have the same rank count"
-        );
-        CommSchedule { rounds }
+        CommSchedule::checked(rounds).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// [`CommSchedule::cyclic`] that reports invalid rounds instead of
+    /// panicking on them.
+    fn checked(rounds: Vec<CommGraph>) -> Result<Self, String> {
+        match rounds.first().map(CommGraph::ranks) {
+            None => Err("schedule needs at least one round".into()),
+            Some(n) if rounds.iter().any(|g| g.ranks() != n) => {
+                Err("all rounds must have the same rank count".into())
+            }
+            Some(_) => Ok(CommSchedule { rounds }),
+        }
     }
 
     /// The same graph every step.

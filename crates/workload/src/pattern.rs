@@ -10,8 +10,6 @@
 //! * **boundary** — open (waves die at the chain ends) or periodic (waves
 //!   wrap around, Fig. 5 b/d/f/h).
 
-use tracefmt::json::{self, FromJson, Json, ToJson};
-
 /// Direction of the next-neighbour exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
@@ -129,72 +127,16 @@ impl CommPattern {
     }
 }
 
-impl ToJson for Direction {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Direction::Unidirectional => "Unidirectional",
-                Direction::Bidirectional => "Bidirectional",
-            }
-            .into(),
-        )
-    }
+tracefmt::json_codec! {
+    enum Direction { Unidirectional, Bidirectional }
 }
 
-impl FromJson for Direction {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        match v.expect_variant()?.0 {
-            "Unidirectional" => Ok(Direction::Unidirectional),
-            "Bidirectional" => Ok(Direction::Bidirectional),
-            other => Err(json::JsonError(format!(
-                "unknown Direction variant '{other}'"
-            ))),
-        }
-    }
+tracefmt::json_codec! {
+    enum Boundary { Open, Periodic }
 }
 
-impl ToJson for Boundary {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Boundary::Open => "Open",
-                Boundary::Periodic => "Periodic",
-            }
-            .into(),
-        )
-    }
-}
-
-impl FromJson for Boundary {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        match v.expect_variant()?.0 {
-            "Open" => Ok(Boundary::Open),
-            "Periodic" => Ok(Boundary::Periodic),
-            other => Err(json::JsonError(format!(
-                "unknown Boundary variant '{other}'"
-            ))),
-        }
-    }
-}
-
-impl ToJson for CommPattern {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("direction", self.direction.to_json()),
-            ("distance", self.distance.to_json()),
-            ("boundary", self.boundary.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CommPattern {
-    fn from_json(v: &Json) -> json::Result<Self> {
-        Ok(CommPattern {
-            direction: Direction::from_json(v.field("direction")?)?,
-            distance: u32::from_json(v.field("distance")?)?,
-            boundary: Boundary::from_json(v.field("boundary")?)?,
-        })
-    }
+tracefmt::json_codec! {
+    struct CommPattern { direction, distance, boundary }
 }
 
 #[cfg(test)]

@@ -994,3 +994,230 @@ fn interrupted_sweep_exits_4_and_resumes_to_the_control() {
     );
     std::fs::remove_dir_all(dir).ok();
 }
+
+// ---------------------------------------------------------------------------
+// Files written by an earlier build (`tests/fixtures/v1`, produced by the
+// release that still had hand-written codecs) must keep loading.
+// ---------------------------------------------------------------------------
+
+fn fixture(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/v1")
+        .join(name)
+}
+
+#[test]
+fn v1_sweep_report_and_cache_entry_are_reused() {
+    let dir = tmpdir("v1-sweep");
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).expect("mk cache");
+    let entry = "188f0e125db6e6a1.entry";
+    std::fs::copy(fixture(entry), cache.join(entry)).expect("copy entry");
+    let scenarios = fixture("scenarios.json");
+    let expected = std::fs::read(fixture("results.jsonl")).expect("fixture report");
+
+    // Resume over the old report: both records decode and nothing re-runs.
+    let resumed = dir.join("resumed.jsonl");
+    std::fs::write(&resumed, &expected).expect("copy report");
+    let run = wavesim()
+        .args(["sweep", "--resume", "--scenarios"])
+        .arg(&scenarios)
+        .arg("--out")
+        .arg(&resumed)
+        .output()
+        .expect("binary runs");
+    assert!(run.status.success(), "{run:?}");
+    assert!(
+        String::from_utf8_lossy(&run.stdout).contains("2 reused"),
+        "{run:?}"
+    );
+    assert_eq!(std::fs::read(&resumed).expect("report"), expected);
+
+    // A cold report served from the old cache entry is byte-identical.
+    let warm = dir.join("warm.jsonl");
+    let run = wavesim()
+        .args(["sweep", "--scenarios"])
+        .arg(&scenarios)
+        .arg("--cache-dir")
+        .arg(&cache)
+        .arg("--out")
+        .arg(&warm)
+        .output()
+        .expect("binary runs");
+    assert!(run.status.success(), "{run:?}");
+    assert!(
+        String::from_utf8_lossy(&run.stdout).contains("cache: 1 hits, 0 misses"),
+        "{run:?}"
+    );
+    assert_eq!(std::fs::read(&warm).expect("report"), expected);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn v1_journal_replays_and_answers_query() {
+    use idle_waves::idlewave::serve::client::ServeClient;
+    use idle_waves::tracefmt::json::{self, Json};
+
+    let dir = tmpdir("v1-journal");
+    let state = dir.join("state");
+    std::fs::create_dir_all(&state).expect("mk state");
+    let journal = std::fs::read_to_string(fixture("journal.jsonl")).expect("fixture journal");
+    std::fs::write(state.join("journal.jsonl"), &journal).expect("copy journal");
+    let done = Json::parse(journal.lines().nth(1).expect("done line")).expect("json");
+    let want = json::to_string(
+        done.get("rec")
+            .and_then(|r| r.get("result"))
+            .expect("done record"),
+    );
+
+    let (server, addr) = spawn_serve(&state, &[]);
+    let mut client = ServeClient::connect(&addr).expect("connect");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.recovered, 0, "the job finished before the restart");
+    let record = client
+        .query("fx-j")
+        .expect("query")
+        .expect("journaled result");
+    assert_eq!(json::to_string(&record), want);
+    drop(client);
+    assert_eq!(server.terminate(), Some(0), "drain must exit 0");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn v1_snapshot_restores_to_the_uninterrupted_run() {
+    let dir = tmpdir("v1-snapshot");
+    let restored = dir.join("restored.csv");
+    let direct = dir.join("direct.csv");
+    let run = wavesim()
+        .arg("--restore")
+        .arg(fixture("wavesim.ckpt"))
+        .args(["--quiet", "--csv"])
+        .arg(&restored)
+        .output()
+        .expect("binary runs");
+    assert!(run.status.success(), "{run:?}");
+    let run = wavesim()
+        .args([
+            "--ranks", "6", "--steps", "4", "--inject", "2:1:3", "--quiet", "--csv",
+        ])
+        .arg(&direct)
+        .output()
+        .expect("binary runs");
+    assert!(run.status.success(), "{run:?}");
+    assert_eq!(
+        std::fs::read(&restored).expect("restored csv"),
+        std::fs::read(&direct).expect("direct csv")
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Strict decoding: an undeclared or repeated key is an error everywhere a
+// record enters from outside.
+// ---------------------------------------------------------------------------
+
+fn example_config() -> String {
+    std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/configs/fig4-quick.json"),
+    )
+    .expect("example config")
+}
+
+#[test]
+fn analyze_rejects_misspelled_and_repeated_config_keys() {
+    let dir = tmpdir("strict-config");
+    let typo = dir.join("typo.json");
+    std::fs::write(
+        &typo,
+        example_config().replace("\"serialize_sends\"", "\"serialise_sends\""),
+    )
+    .expect("write config");
+    let out = wavesim()
+        .args(["analyze", "--config"])
+        .arg(&typo)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown key 'serialise_sends' in SimConfig")
+            && stderr.contains("did you mean 'serialize_sends'"),
+        "{stderr}"
+    );
+
+    let twice = dir.join("twice.json");
+    std::fs::write(&twice, example_config().replacen('{', "{\"steps\":3,", 1))
+        .expect("write config");
+    let out = wavesim()
+        .args(["analyze", "--config"])
+        .arg(&twice)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("duplicate key 'steps' in SimConfig"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn sweep_rejects_a_misspelled_scenario_key_before_running_anything() {
+    let dir = tmpdir("strict-sweep");
+    let scenarios = dir.join("scenarios.json");
+    let out_path = dir.join("results.jsonl");
+    let cfg = example_config();
+    std::fs::write(
+        &scenarios,
+        format!("[{{\"id\":\"a\",\"config\":{cfg}}},{{\"id\":\"b\",\"config\":{cfg},\"max_sim_tme\":5}}]"),
+    )
+    .expect("write scenarios");
+    let out = wavesim()
+        .args(["sweep", "--scenarios"])
+        .arg(&scenarios)
+        .arg("--out")
+        .arg(&out_path)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
+    let record = idle_waves::tracefmt::json::Json::parse(stderr.trim()).expect("valid JSON");
+    let error = record.get("error").and_then(|e| e.as_str()).expect("error");
+    assert!(
+        error.contains("[1]: unknown key 'max_sim_tme' in Scenario (did you mean 'max_sim_time'?)"),
+        "{error}"
+    );
+    assert!(!out_path.exists(), "no scenario may run");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn serve_answers_a_misspelled_submit_with_an_error_and_keeps_serving() {
+    use idle_waves::idlewave::serve::client::ServeClient;
+    use idle_waves::idlewave::serve::protocol::Reply;
+
+    let dir = tmpdir("strict-serve");
+    let (server, addr) = spawn_serve(&dir.join("state"), &[]);
+    let mut client = ServeClient::connect(&addr).expect("connect");
+    let cfg = example_config().replace('\n', "");
+    client
+        .send_raw(&format!(
+            "{{\"type\":\"submit\",\"scenario\":{{\"id\":\"t\",\"config\":{cfg},\"chaoss\":\"None\"}}}}"
+        ))
+        .expect("send");
+    match client.next_reply().expect("reply") {
+        Reply::Error { error } => assert!(
+            error.contains("unknown key 'chaoss' in Scenario (did you mean 'chaos'?)"),
+            "{error}"
+        ),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    assert_eq!(client.ping(5).expect("same connection still serves"), 5);
+    assert_eq!(client.stats().expect("stats").accepted, 0);
+    drop(client);
+    assert_eq!(server.terminate(), Some(0), "drain must exit 0");
+    std::fs::remove_dir_all(dir).ok();
+}
