@@ -74,28 +74,22 @@ impl ServeClient {
     /// Next reply line, blocking. EOF and undecodable replies are
     /// errors — a well-behaved server never sends either mid-session.
     pub fn next_reply(&mut self) -> io::Result<Reply> {
-        loop {
-            match self.reader.next_line()? {
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    ))
-                }
-                Some(Err(frame)) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        frame.to_string(),
-                    ))
-                }
-                Some(Ok(line)) => {
-                    let v = Json::parse(&line).map_err(|e| {
-                        io::Error::new(io::ErrorKind::InvalidData, format!("bad reply: {}", e.0))
-                    })?;
-                    return Reply::from_json(&v).map_err(|e| {
-                        io::Error::new(io::ErrorKind::InvalidData, format!("bad reply: {}", e.0))
-                    });
-                }
+        match self.reader.next_line()? {
+            None => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )),
+            Some(Err(frame)) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                frame.to_string(),
+            )),
+            Some(Ok(line)) => {
+                let v = Json::parse(&line).map_err(|e| {
+                    io::Error::new(io::ErrorKind::InvalidData, format!("bad reply: {}", e.0))
+                })?;
+                Reply::from_json(&v).map_err(|e| {
+                    io::Error::new(io::ErrorKind::InvalidData, format!("bad reply: {}", e.0))
+                })
             }
         }
     }

@@ -41,9 +41,3 @@ pub fn install_term_handler() -> &'static AtomicBool {
     }
     &TERM_REQUESTED
 }
-
-/// The latch without (re)installing handlers — for in-process tests and
-/// drills that set it programmatically.
-pub fn term_flag() -> &'static AtomicBool {
-    &TERM_REQUESTED
-}

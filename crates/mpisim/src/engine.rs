@@ -54,7 +54,7 @@
 
 // The hash containers below are membership maps that are never iterated,
 // so their nondeterministic order cannot leak into traces.
-use std::collections::{BTreeSet, HashMap, VecDeque}; // simlint: allow(hash-collections)
+use std::collections::{BTreeSet, HashMap}; // simlint: allow(hash-collections)
 
 use netmodel::{Domain, PointToPoint};
 use simdes::{EventQueue, SeedFactory, SimDuration, SimRng, SimTime};
@@ -452,9 +452,10 @@ impl PartnerCsr {
 
 /// Whether `cfg` can take the engine's fused fast path (`run_fused`).
 ///
-/// The fused path collapses each (rank, step) cell's compute → post →
-/// match → complete event chain into one macro-step, which is only sound
-/// when every decision along that chain is statically determined:
+/// The fused path evaluates the max-plus recurrence step by step instead
+/// of delivering each (rank, step) cell's compute → post → match →
+/// complete event chain, which is only sound when every decision along
+/// that chain is statically determined:
 ///
 /// * static partner lists (a `schedule` interposes a per-step graph),
 /// * a `Compute` execution model (memory-bound work times depend on who
@@ -463,14 +464,15 @@ impl PartnerCsr {
 ///   finite-buffer fallback gate progress on the receiver),
 /// * unserialized sends (the NIC port serializes across steps),
 /// * noise on the execution phase only (comm noise draws from a
-///   per-transfer RNG stream whose draw order the fused cascade does not
+///   per-transfer RNG stream whose draw order the fused kernel does not
 ///   preserve),
 /// * and no fault plan of any kind (faults reroute steps dynamically).
 ///
 /// Eligibility is necessary but not sufficient: the engine additionally
 /// requires the pattern's send/recv lists to be duals of each other
-/// ([`FusedPlan::build`]), and budgeted, checkpointed, and restored runs
-/// always take the general event loop regardless — see `run_loop`.
+/// (`FusedPlan::build`), and checkpointed and restored runs always take
+/// the event loop regardless — see `run_loop`. A plain field check on
+/// purpose: callers ask it per scenario, so it builds no plan.
 pub fn fused_path_eligible(cfg: &SimConfig) -> bool {
     cfg.schedule.is_none()
         && matches!(cfg.exec, ExecModel::Compute { .. })
@@ -497,8 +499,8 @@ impl FusedPlan {
     /// Pair every send slot with the recv slot it feeds. Returns `None`
     /// when the pattern is not a send/recv duality (some recv is never
     /// fed, some send has no home, or a rank messages itself) — the fused
-    /// path's per-edge arrival FIFOs only line up under that bijection,
-    /// so such patterns take the general event loop.
+    /// kernel's one arrival slot per recv edge only lines up under that
+    /// bijection, so such patterns take the event loop.
     fn build(
         csr: &PartnerCsr,
         nranks: u32,
@@ -542,21 +544,6 @@ impl FusedPlan {
             send_cost,
         })
     }
-}
-
-/// Working state of one fused cascade, bundled so the begin/advance
-/// helpers stay within a sane argument count.
-struct FusedCursor {
-    /// One FIFO of pending arrival times per recv slot: an undelayed
-    /// sender can run several steps ahead of a delayed receiver, one
-    /// entry per step of lead. Arrival times on one edge are monotone
-    /// (the sender's exec_end only grows), so FIFO pop order is step
-    /// order — mirroring the event path's per-step tag matching.
-    arrivals: Vec<VecDeque<SimTime>>,
-    /// Stack of ranks whose pending arrivals may now complete their step.
-    work: Vec<u32>,
-    /// Worklist membership, to dedup pushes.
-    queued: Vec<bool>,
 }
 
 /// Per-domain link costs, precomputed when no degradation windows exist:
@@ -1168,38 +1155,30 @@ impl Engine {
         Ok((trace, self.stats))
     }
 
-    /// The event loop proper: drain the queue, dispatching every event,
-    /// until the run completes, a budget trips, or the queue starves.
+    /// Run to completion, a tripped budget, or a starved queue.
     ///
     /// A fresh fusion-eligible engine with no checkpoint cadence runs the
-    /// fused cascade instead, limits or not, and checks the limits on the
+    /// fused kernel instead, limits or not, and checks the limits on the
     /// finished run: the event count it reports is the semantic one, and
     /// every elided `ExecEnd`/`EagerArrive` lies at or before its cell's
-    /// `comm_end`, so the general loop would trip exactly when the count
+    /// `comm_end`, so the event loop would trip exactly when the count
     /// exceeds `max_events` or the latest `comm_end` lies past
     /// `max_sim_time`. On a trip (or any unfinished run) the engine is
-    /// rebuilt and replayed through the general loop below, which yields
-    /// the exact [`SimError`] — `at`, `events`, `why` — of a run that never
-    /// fused. Checkpointed and restored runs (`started` already set)
-    /// always take the general loop, which is what makes resuming a
+    /// rebuilt and replayed through the event loop, which yields the
+    /// exact [`SimError`] — `at`, `events`, `why` — of a run that never
+    /// fused. Every other run — plain, limited, checkpointed or restored —
+    /// takes the one event loop, specialized once for its protocol and
+    /// trace mode ([`dispatch::pump_events`]), with the budgets and the
+    /// checkpoint cadence checked inline. Checkpointed and restored runs
+    /// (`started` already set) never fuse, which is what makes resuming a
     /// snapshot bit-identical regardless of which path produced it.
-    fn run_loop<F>(
+    fn run_loop(
         &mut self,
         limits: &RunLimits,
         policy: &CheckpointPolicy,
-        sink: &mut F,
-    ) -> Result<(), SimError>
-    where
-        F: FnMut(&Snapshot),
-    {
+        sink: &mut dyn FnMut(&Snapshot),
+    ) -> Result<(), SimError> {
         let nranks = self.cfg.ranks();
-        if self.mode == TraceMode::Full {
-            // Reserve the full record budget up front (outside the timed
-            // construction path, retained across pooled reuse).
-            let want = nranks as usize * self.cfg.steps as usize;
-            self.records
-                .reserve(want.saturating_sub(self.records.len()));
-        }
         if !self.started && self.fused.is_some() && !policy.is_active() {
             self.started = true;
             self.run_fused();
@@ -1212,66 +1191,20 @@ impl Engine {
             }
             self.rebuild_for_replay();
         }
-        let plain =
-            limits.max_sim_time.is_none() && limits.max_events.is_none() && !policy.is_active();
+        if self.mode == TraceMode::Full {
+            // Reserve the full record budget up front (outside the timed
+            // construction path, retained across pooled reuse).
+            let want = nranks as usize * self.cfg.steps as usize;
+            self.records
+                .reserve(want.saturating_sub(self.records.len()));
+        }
         if !self.started {
             self.started = true;
             for r in 0..nranks {
                 self.start_exec(r, SimTime::ZERO);
             }
         }
-        if plain {
-            // Budget- and checkpoint-free fast path: nothing between pop
-            // and dispatch but the peak-queue statistic, with the
-            // handlers monomorphized for the run's protocol and trace
-            // mode.
-            dispatch::pump_plain(self);
-        } else {
-            // Checkpoint cadence is measured from where *this* run
-            // started, so a restored engine checkpoints relative to its
-            // resume point. The counters are deliberately not part of the
-            // snapshot: checkpoint timing never feeds back into
-            // simulation state.
-            let mut last_ckpt_events = self.q.delivered();
-            let mut next_ckpt_time = policy.every_sim_time.map(|dt| self.q.now() + dt);
-            while let Some((now, ev)) = self.q.pop() {
-                self.stats.peak_queue = self.stats.peak_queue.max(self.q.len() + 1);
-                if let Some(budget) = limits.max_sim_time {
-                    if now > budget {
-                        return Err(SimError::Watchdog {
-                            at: now,
-                            events: self.q.delivered(),
-                            why: format!("sim time budget t = {budget} exceeded"),
-                        });
-                    }
-                }
-                if let Some(max_events) = limits.max_events {
-                    if self.q.delivered() > max_events {
-                        return Err(SimError::Watchdog {
-                            at: now,
-                            events: self.q.delivered(),
-                            why: format!("event budget {max_events} exceeded"),
-                        });
-                    }
-                }
-                self.dispatch(now, ev);
-                let events_due = policy
-                    .every_events
-                    .is_some_and(|n| self.q.delivered() - last_ckpt_events >= n);
-                let time_due = next_ckpt_time.is_some_and(|t| now >= t);
-                if events_due || time_due {
-                    last_ckpt_events = self.q.delivered();
-                    if let (Some(dt), Some(t)) = (policy.every_sim_time, next_ckpt_time) {
-                        let mut next = t;
-                        while now >= next {
-                            next = next + dt;
-                        }
-                        next_ckpt_time = Some(next);
-                    }
-                    sink(&self.checkpoint());
-                }
-            }
-        }
+        dispatch::pump_events(self, limits, policy, sink)?;
         self.stats.events = self.q.delivered() + self.elided;
         if self.done_count != nranks {
             return Err(SimError::Stalled {
@@ -1295,155 +1228,87 @@ impl Engine {
         self.fused = None;
     }
 
-    /// Drive a fusion-eligible run to completion without the calendar.
+    /// Drive a fusion-eligible run to completion without the calendar:
+    /// the step-major max-plus kernel.
     ///
     /// [`fused_path_eligible`] pins every decision the event loop would
     /// otherwise make dynamically: every execution phase is `Compute`,
     /// every send is eager and completes at post, every transfer cost is
     /// the static per-domain link cost, and no fault can reroute a step.
-    /// Under those rules a step's completion time is a pure function of
-    /// its inputs — `comm_end(r, k) = max(exec_end(r, k), arrival time of
-    /// every step-k payload)` — so the run is a data-flow relaxation over
-    /// the (rank, step) grid, processed with a worklist instead of a
-    /// calendar. Per-rank RNG streams make the injection/noise draws
-    /// independent of cross-rank event order, and the event path's FIFO
-    /// (time, seq) tie-break resolves same-time arrivals to the same
-    /// `max()`, so the cascade reproduces the event loop's trace bit for
-    /// bit (held to by the golden figures and tests/fused_reference.rs).
+    /// Under those rules step `k`'s arrivals depend only on step `k`'s
+    /// execution ends, and the run is the recurrence `W(r,k) = max(E(r,k),
+    /// max_s E(s,k) + T(s,r))` of [`crate::reference`], two passes a step:
     ///
-    /// Every calendar event the event path would have delivered — one
-    /// `ExecEnd` per (rank, step) plus one `EagerArrive` per payload — is
-    /// counted in `elided` instead, keeping `RunStats::events` exact for
-    /// the budget analyzer.
+    /// 1. each rank draws its injection and noise from its own RNG stream —
+    ///    the draws `start_exec` makes, in the same per-rank order, so they
+    ///    are bit-identical — computes `E(r,k)`, and writes one arrival per
+    ///    send slot into the recv edge [`FusedPlan::send_edge`] names;
+    /// 2. each rank takes the max over its recv edges (the event loop's
+    ///    FIFO `(time, seq)` tie-break resolves same-time arrivals to the
+    ///    same `max()`) and emits its record.
+    ///
+    /// Full-trace records land in their rank-major slots, so assembling
+    /// the [`Trace`] moves nothing. Every calendar event the event loop
+    /// would have delivered — one `ExecEnd` per (rank, step) plus one
+    /// `EagerArrive` per payload — is counted in `elided` instead, keeping
+    /// `RunStats::events` exact for the budget analyzer.
     fn run_fused(&mut self) {
         let plan = self.fused.take().expect("run_fused needs a fused plan");
         let csr = self.csr.take().expect("fused runs are pattern-driven");
         let nranks = self.cfg.ranks();
         let steps = self.cfg.steps;
-        let mut cur = FusedCursor {
-            arrivals: vec![VecDeque::new(); csr.recv.len()],
-            work: Vec::with_capacity(nranks as usize),
-            // Every rank starts on the worklist, so begin-step wakes
-            // cannot double-push during seeding.
-            queued: vec![true; nranks as usize],
-        };
-        for r in 0..nranks {
-            self.fused_begin_step(r, SimTime::ZERO, &csr, &plan, &mut cur);
+        let trace = self.mode;
+        if trace == TraceMode::Full {
+            let blank = PhaseRecord {
+                rank: 0,
+                step: 0,
+                exec_start: SimTime::ZERO,
+                exec_end: SimTime::ZERO,
+                comm_end: SimTime::ZERO,
+                injected: SimDuration::ZERO,
+                noise: SimDuration::ZERO,
+            };
+            self.records.clear();
+            self.records.resize(nranks as usize * steps as usize, blank);
         }
-        cur.work.extend(0..nranks);
-        while let Some(r) = cur.work.pop() {
-            cur.queued[r as usize] = false;
-            self.fused_advance(r, steps, &csr, &plan, &mut cur);
+        let mut arrivals = vec![SimTime::ZERO; csr.recv.len()];
+        for step in 0..steps {
+            for r in 0..nranks {
+                let ri = r as usize;
+                // `finish` holds the rank's previous comm_end (zero before
+                // step 0): the start of this step's execution phase.
+                let now = self.finish[ri];
+                let mut injected = SimDuration::ZERO;
+                if self.has_inj[ri] {
+                    injected = self.cfg.injections.delay_for(r, step);
+                }
+                let noise = self.cfg.noise.sample(&mut self.ranks.rng[ri]);
+                let exec_end = now + injected + self.base_exec[ri] + noise;
+                self.ranks.exec_start[ri] = now;
+                self.ranks.exec_end[ri] = exec_end;
+                self.ranks.injected[ri] = injected;
+                self.ranks.noise_amt[ri] = noise;
+                for slot in csr.send_off[ri] as usize..csr.send_off[ri + 1] as usize {
+                    arrivals[plan.send_edge[slot] as usize] = exec_end + plan.send_cost[slot];
+                }
+            }
+            for r in 0..nranks {
+                let ri = r as usize;
+                let edges = csr.recv_off[ri] as usize..csr.recv_off[ri + 1] as usize;
+                let comm_end = arrivals[edges]
+                    .iter()
+                    .fold(self.ranks.exec_end[ri], |w, &t| w.max(t));
+                let slot = ri * steps as usize + step as usize;
+                self.emit_record(trace, r, comm_end, Some(slot));
+                self.ranks.step[ri] = step + 1;
+            }
+            self.elided += u64::from(nranks) + csr.send.len() as u64;
+            self.stats.messages += csr.send.len() as u64;
         }
+        self.ranks.phase.fill(Phase::Done);
+        self.done_count = nranks;
         self.csr = Some(csr);
         self.fused = Some(plan);
-    }
-
-    /// Begin `rank`'s next step at `now` on the fused path: the same
-    /// injection lookup and noise draw as `start_exec` (stream-for-stream,
-    /// so the draws are bit-identical), then post the step's eager sends
-    /// as per-edge arrival times instead of calendar events.
-    fn fused_begin_step(
-        &mut self,
-        rank: u32,
-        now: SimTime,
-        csr: &PartnerCsr,
-        plan: &FusedPlan,
-        cur: &mut FusedCursor,
-    ) {
-        let ri = rank as usize;
-        let step = self.ranks.step[ri];
-        let mut injected = SimDuration::ZERO;
-        if self.has_inj[ri] {
-            injected = injected + self.cfg.injections.delay_for(rank, step);
-        }
-        let noise = self.cfg.noise.sample(&mut self.ranks.rng[ri]);
-        self.ranks.phase[ri] = Phase::Waiting;
-        self.ranks.exec_start[ri] = now;
-        self.ranks.injected[ri] = injected;
-        self.ranks.noise_amt[ri] = noise;
-        self.ranks.epoch[ri] += 1;
-        let exec_end = now + injected + self.base_exec[ri] + noise;
-        self.ranks.exec_end[ri] = exec_end;
-        self.elided += 1; // the ExecEnd the event path would deliver
-        let base = csr.send_off[ri] as usize;
-        for (j, &dst) in csr.send_of(rank).iter().enumerate() {
-            let slot = base + j;
-            self.stats.messages += 1;
-            self.elided += 1; // the EagerArrive the event path would deliver
-            cur.arrivals[plan.send_edge[slot] as usize].push_back(exec_end + plan.send_cost[slot]);
-            let di = dst as usize;
-            if !cur.queued[di] {
-                cur.queued[di] = true;
-                cur.work.push(dst);
-            }
-        }
-    }
-
-    /// Complete as many consecutive steps of `rank` as its pending
-    /// arrivals allow, streaming one trace/summary record per completed
-    /// step and re-posting the next step's sends each time.
-    fn fused_advance(
-        &mut self,
-        rank: u32,
-        steps: u32,
-        csr: &PartnerCsr,
-        plan: &FusedPlan,
-        cur: &mut FusedCursor,
-    ) {
-        let ri = rank as usize;
-        let rbase = csr.recv_off[ri] as usize;
-        let nrecv = csr.recv_of(rank).len();
-        loop {
-            if self.ranks.phase[ri] != Phase::Waiting {
-                return; // already Done; a straggler wake-up
-            }
-            if (rbase..rbase + nrecv).any(|e| cur.arrivals[e].is_empty()) {
-                return; // some partner has not reached this step yet
-            }
-            let mut comm_end = self.ranks.exec_end[ri];
-            for e in rbase..rbase + nrecv {
-                let t = cur.arrivals[e].pop_front().expect("checked non-empty");
-                if t > comm_end {
-                    comm_end = t;
-                }
-            }
-            let step = self.ranks.step[ri];
-            match self.mode {
-                TraceMode::Full => self.records.push(PhaseRecord {
-                    rank,
-                    step,
-                    exec_start: self.ranks.exec_start[ri],
-                    exec_end: self.ranks.exec_end[ri],
-                    comm_end,
-                    injected: self.ranks.injected[ri],
-                    noise: self.ranks.noise_amt[ri],
-                }),
-                TraceMode::Summary => {
-                    self.summary_records += 1;
-                    self.summary_digest =
-                        self.summary_digest
-                            .wrapping_add(PhaseRecord::digest_of_parts(
-                                rank,
-                                step,
-                                self.ranks.exec_start[ri],
-                                self.ranks.exec_end[ri],
-                                comm_end,
-                                self.ranks.injected[ri],
-                                self.ranks.noise_amt[ri],
-                            ));
-                }
-            }
-            // Kept in both modes: the post-run limit check reads it.
-            self.finish[ri] = comm_end;
-            self.ranks.step[ri] = step + 1;
-            if step + 1 == steps {
-                self.ranks.phase[ri] = Phase::Done;
-                self.done_count += 1;
-                return;
-            }
-            self.fused_begin_step(rank, comm_end, csr, plan, cur);
-        }
     }
 
     /// Post-mortem for a drained event queue with unfinished ranks: build
@@ -1511,12 +1376,6 @@ impl Engine {
         format!("{verdict}\n{}", stuck.join("\n"))
     }
 
-    /// General-spec dispatch for the limited/checkpointed loop, which
-    /// cannot pin the protocol or trace mode at compile time.
-    fn dispatch(&mut self, now: SimTime, ev: Ev) {
-        self.dispatch_ev::<dispatch::General>(now, ev);
-    }
-
     fn dispatch_ev<S: dispatch::Spec>(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::ExecEnd { rank, epoch } => {
@@ -1558,10 +1417,10 @@ impl Engine {
         // "anything there at all?" flags computed at construction.
         let mut injected = SimDuration::ZERO;
         if self.has_inj[ri] {
-            injected = injected + self.cfg.injections.delay_for(rank, step);
+            injected += self.cfg.injections.delay_for(rank, step);
         }
         if self.has_rank_faults {
-            injected = injected + self.cfg.faults.stall_for(rank, step);
+            injected += self.cfg.faults.stall_for(rank, step);
             match self.cfg.faults.crash_for(rank, step) {
                 Some(CrashOutcome::FailStop) => {
                     self.ranks.phase[ri] = Phase::Crashed;
@@ -2086,33 +1945,7 @@ impl Engine {
         debug_assert_eq!(self.unmatched_recvs[ri], 0);
         debug_assert_eq!(self.gated_cts[ri], 0);
         let step = self.ranks.step[ri];
-        // The trace-mode branch folds away under the specialized specs.
-        match S::TRACE.unwrap_or(self.mode) {
-            TraceMode::Full => self.records.push(PhaseRecord {
-                rank,
-                step,
-                exec_start: self.ranks.exec_start[ri],
-                exec_end: self.ranks.exec_end[ri],
-                comm_end: now,
-                injected: self.ranks.injected[ri],
-                noise: self.ranks.noise_amt[ri],
-            }),
-            TraceMode::Summary => {
-                self.summary_records += 1;
-                self.summary_digest =
-                    self.summary_digest
-                        .wrapping_add(PhaseRecord::digest_of_parts(
-                            rank,
-                            step,
-                            self.ranks.exec_start[ri],
-                            self.ranks.exec_end[ri],
-                            now,
-                            self.ranks.injected[ri],
-                            self.ranks.noise_amt[ri],
-                        ));
-                self.finish[ri] = now;
-            }
-        }
+        self.emit_record(S::TRACE, rank, now, None);
         self.ranks.reqs[ri].clear();
         self.ranks.step[ri] = step + 1;
         if step + 1 == self.cfg.steps {
@@ -2121,6 +1954,36 @@ impl Engine {
         } else {
             self.start_exec(rank, now);
         }
+    }
+
+    /// Emit `rank`'s record for its current step, ended at `comm_end` —
+    /// the one place a completed step leaves the engine. `Full` retains
+    /// the record, written to `slot` when the caller laid the buffer out
+    /// rank-major (the fused kernel) and appended in completion order
+    /// otherwise; `Summary` folds it into the digest. `finish` is kept in
+    /// both modes: the summary reports it, the fused kernel starts the
+    /// next step from it, and its post-run limit check reads it.
+    #[inline(always)]
+    fn emit_record(&mut self, trace: TraceMode, rank: u32, comm_end: SimTime, slot: Option<usize>) {
+        let ri = rank as usize;
+        let record = PhaseRecord {
+            rank,
+            step: self.ranks.step[ri],
+            exec_start: self.ranks.exec_start[ri],
+            exec_end: self.ranks.exec_end[ri],
+            comm_end,
+            injected: self.ranks.injected[ri],
+            noise: self.ranks.noise_amt[ri],
+        };
+        match (trace, slot) {
+            (TraceMode::Full, Some(i)) => self.records[i] = record,
+            (TraceMode::Full, None) => self.records.push(record),
+            (TraceMode::Summary, _) => {
+                self.summary_records += 1;
+                self.summary_digest = self.summary_digest.wrapping_add(record.digest());
+            }
+        }
+        self.finish[ri] = comm_end;
     }
 
     fn on_rts<S: dispatch::Spec>(&mut self, src: u32, dst: u32, step: u32, now: SimTime) {

@@ -183,11 +183,6 @@ impl Snapshot {
         self.delivered
     }
 
-    /// Trace records already completed at the cut point.
-    pub fn records_done(&self) -> usize {
-        self.records.len()
-    }
-
     /// Serialize to the two-line body + integrity-footer format described
     /// in the module docs. The output ends with a newline.
     pub fn encode(&self) -> String {

@@ -45,11 +45,6 @@ impl Digraph {
         self.adj[u].push(v);
     }
 
-    /// Successors of `u` in insertion order.
-    pub fn successors(&self, u: usize) -> &[usize] {
-        &self.adj[u]
-    }
-
     /// Strongly connected components in deterministic order (Tarjan,
     /// iterative). Components come out in reverse topological order of the
     /// condensation; vertices inside a component keep discovery order.

@@ -25,8 +25,12 @@ impl Trace {
     }
 
     /// [`Trace::from_records`] that reports a coverage violation instead of
-    /// panicking on it.
-    fn checked(ranks: u32, steps: u32, records: Vec<PhaseRecord>) -> Result<Self, String> {
+    /// panicking on it. Places the records in one in-place pass: each
+    /// swap moves a record to its rank-major home for good, so the pass is
+    /// O(n), and a record whose home is already taken by its rightful
+    /// owner is a duplicate. Records that arrive in place (the fused
+    /// kernel writes them so) are checked without moving.
+    fn checked(ranks: u32, steps: u32, mut records: Vec<PhaseRecord>) -> Result<Self, String> {
         if ranks == 0 || steps == 0 {
             return Err(format!("empty trace dimensions {ranks}x{steps}"));
         }
@@ -34,24 +38,26 @@ impl Trace {
         if records.len() != n {
             return Err(format!("expected {n} records, got {}", records.len()));
         }
-        let mut slots: Vec<Option<PhaseRecord>> = vec![None; n];
-        for r in records {
-            if r.rank >= ranks || r.step >= steps {
-                return Err(format!("record out of range: {r:?}"));
+        let home = |r: &PhaseRecord| {
+            (r.rank < ranks && r.step < steps)
+                .then(|| r.rank as usize * steps as usize + r.step as usize)
+        };
+        for i in 0..n {
+            loop {
+                let r = &records[i];
+                let j = home(r).ok_or_else(|| format!("record out of range: {r:?}"))?;
+                if j == i {
+                    break;
+                }
+                if home(&records[j]) == Some(j) {
+                    return Err(format!(
+                        "duplicate record for rank {} step {}",
+                        r.rank, r.step
+                    ));
+                }
+                records.swap(i, j);
             }
-            let idx = r.rank as usize * steps as usize + r.step as usize;
-            if slots[idx].is_some() {
-                return Err(format!(
-                    "duplicate record for rank {} step {}",
-                    r.rank, r.step
-                ));
-            }
-            slots[idx] = Some(r);
         }
-        let records = slots
-            .into_iter()
-            .map(|s| s.expect("checked full"))
-            .collect();
         Ok(Trace {
             ranks,
             steps,
@@ -59,15 +65,16 @@ impl Trace {
         })
     }
 
-    /// [`Trace::from_records`] for pooled engines: drains `records`,
-    /// leaving the caller's (empty) buffer and its capacity behind for
-    /// reuse by the next run. The trace owns a fresh exact-size
-    /// allocation either way.
+    /// [`Trace::from_records`] for pooled engines: empties `records`,
+    /// leaving the caller's buffer and its capacity behind for reuse by
+    /// the next run. The trace owns a fresh exact-size allocation.
     ///
     /// # Panics
     /// Panics under the same coverage rules as [`Trace::from_records`].
     pub fn from_record_buffer(ranks: u32, steps: u32, records: &mut Vec<PhaseRecord>) -> Self {
-        Trace::from_records(ranks, steps, records.drain(..).collect())
+        let trace = Trace::from_records(ranks, steps, records.to_vec());
+        records.clear();
+        trace
     }
 
     /// Number of ranks.

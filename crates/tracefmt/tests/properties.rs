@@ -6,7 +6,7 @@
 
 use simdes::check::{for_all, Gen, DEFAULT_CASES};
 use simdes::{SimDuration, SimTime};
-use tracefmt::json;
+use tracefmt::json::{self, FromJson, Json, ToJson};
 use tracefmt::{ascii_timeline, idle_csv, to_csv, AsciiOptions, PhaseRecord, Trace};
 
 /// Generate a consistent random trace: per rank, phases are contiguous
@@ -50,8 +50,40 @@ fn record_order_is_irrelevant() {
             let j = (simdes::splitmix64(seed ^ i as u64) % n as u64) as usize;
             recs.swap(i, j);
         }
-        let u = Trace::from_records(t.ranks(), t.steps(), recs);
+        let u = Trace::from_records(t.ranks(), t.steps(), recs.clone());
         assert_eq!(t, u);
+
+        // Coverage violations after the shuffle: a dropped record, a
+        // record overwritten by a copy of another (same count, so only
+        // the placement pass can catch it), and an extra copy. Decoding
+        // must report each one, not panic.
+        let i = (seed % n as u64) as usize;
+        let j = (i + 1) % n;
+        let mut dropped = recs.clone();
+        dropped.remove(i);
+        let mut overwritten = recs.clone();
+        overwritten[j] = recs[i];
+        let mut extra = recs.clone();
+        extra.push(recs[i]);
+        for (what, bad) in [
+            ("dropped", dropped),
+            ("overwritten", overwritten),
+            ("extra", extra),
+        ] {
+            if what == "overwritten" && i == j {
+                continue; // a one-record trace has nothing to duplicate
+            }
+            let mut v = t.to_json();
+            if let Json::Object(fields) = &mut v {
+                for (k, val) in fields.iter_mut() {
+                    if k == "records" {
+                        *val = Json::Array(bad.iter().map(ToJson::to_json).collect());
+                    }
+                }
+            }
+            let decoded = Trace::from_json(&v);
+            assert!(decoded.is_err(), "{what} record decoded: {decoded:?}");
+        }
     });
 }
 

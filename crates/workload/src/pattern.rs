@@ -50,12 +50,6 @@ impl CommPattern {
         }
     }
 
-    /// The σ factor of the paper's Eq. 2 is 2 only for *bidirectional
-    /// rendezvous* communication; the direction half of that condition.
-    pub fn is_bidirectional(&self) -> bool {
-        self.direction == Direction::Bidirectional
-    }
-
     /// Ranks that `rank` sends to, in deterministic order (distance 1 first;
     /// for bidirectional, the lower neighbour before the higher one).
     pub fn send_partners(&self, rank: u32, nranks: u32) -> Vec<u32> {

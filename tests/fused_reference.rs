@@ -17,7 +17,8 @@
 //!   domain [`reference::supports`] describes.
 //!
 //! The configs are drawn from a family that crosses protocols (eager,
-//! rendezvous, default), directions, boundaries, noise, imbalance, and
+//! rendezvous, default), directions, boundaries, injections (none, one
+//! short delay, one longer than the whole run), noise, imbalance, and
 //! message-fault plans, so both fused-eligible and ineligible configs
 //! are exercised and the eligibility predicate itself is property-tested
 //! against the engine's behaviour (`peak_queue == 0` iff fused).
@@ -31,7 +32,8 @@ use idle_waves::prelude::*;
 const MS: SimDuration = SimDuration::from_millis(1);
 
 /// A stochastic config family straddling the fused-eligibility boundary:
-/// protocol × direction × boundary × noise × imbalance × faults.
+/// protocol × direction × boundary × injection × noise × imbalance ×
+/// faults.
 fn random_config(g: &mut Gen) -> SimConfig {
     let ranks = g.u32(4, 10);
     let steps = g.u32(3, 7);
@@ -54,9 +56,14 @@ fn random_config(g: &mut Gen) -> SimConfig {
         1 => e.rendezvous(),
         _ => e, // default protocol: mode decided by message size
     };
-    if g.bool() {
-        e = e.inject(g.u32(0, ranks - 1), g.u32(0, steps - 1), MS.times(5));
-    }
+    e = match g.u32(0, 2) {
+        0 => e,
+        1 => e.inject(g.u32(0, ranks - 1), g.u32(0, steps - 1), MS.times(5)),
+        // Longer than the whole run: every undelayed rank leads the
+        // delayed one at every step, so ranks that do not wait on it run
+        // steps ahead of it.
+        _ => e.inject(g.u32(0, ranks - 1), 0, MS.times(u64::from(steps) + 2)),
+    };
     if g.bool() {
         e = e.noise(DelayDistribution::Exponential {
             mean: SimDuration::from_micros(g.u64(10, 300)),
@@ -105,7 +112,7 @@ fn plain_runs_match_the_general_event_loop_bitwise() {
         // Every statistic except queue occupancy is path-independent; a
         // fused run never touches the calendar, so its peak is zero, and
         // that is exactly when the eligibility predicate says so.
-        let mut normalized = general_stats.clone();
+        let mut normalized = general_stats;
         normalized.peak_queue = plain_stats.peak_queue;
         assert_eq!(plain_stats, normalized, "stats diverged between paths");
         assert_eq!(
