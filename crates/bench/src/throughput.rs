@@ -719,7 +719,7 @@ pub fn latest_bench_file(dir: &std::path::Path) -> Option<std::path::PathBuf> {
             .and_then(|s| s.strip_suffix(".json"))
             .and_then(|s| s.parse().ok());
         if let Some(n) = n {
-            if best.as_ref().map_or(true, |(b, _)| n > *b) {
+            if best.as_ref().is_none_or(|(b, _)| n > *b) {
                 best = Some((n, path));
             }
         }

@@ -37,7 +37,7 @@ pub(crate) struct Job {
     pub fingerprint: u64,
     /// Canonical config JSON (the cache verification key).
     pub config_json: String,
-    /// Predicted buffer shape, used to grow the worker's pool slot.
+    /// Predicted buffer shape, used to grow the worker's engine buffers.
     pub pool: PoolBudget,
     /// Sim-time watchdog limit, derived from the admission budget report.
     pub watchdog: SimTime,
@@ -221,13 +221,7 @@ mod tests {
             job: n,
             fingerprint: 0,
             config_json: String::new(),
-            pool: PoolBudget {
-                ranks: 0,
-                steps: 0,
-                peak_queue: 0,
-                requests_per_rank: 0,
-                trace_records: 0,
-            },
+            pool: PoolBudget::default(),
             watchdog: SimTime::ZERO,
             cancel: Arc::new(AtomicBool::new(false)),
             reply: None,

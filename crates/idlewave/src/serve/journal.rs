@@ -42,8 +42,8 @@ pub(crate) enum JournalRecord {
     Job {
         /// Monotonic job number.
         job: u64,
-        /// The admitted scenario.
-        scenario: Scenario,
+        /// The admitted scenario, boxed: it dwarfs a `Done` record.
+        scenario: Box<Scenario>,
     },
     /// The job reached a terminal record.
     Done {
@@ -252,7 +252,7 @@ fn replay(bytes: &[u8], path: &Path) -> (Recovery, BTreeSet<(u64, u64)>) {
         match decode_line(line) {
             Ok(JournalRecord::Job { job, scenario }) => {
                 rec.next_job = rec.next_job.max(job + 1);
-                jobs.push((job, scenario));
+                jobs.push((job, *scenario));
             }
             Ok(JournalRecord::Done { job, result }) => {
                 rec.next_job = rec.next_job.max(job + 1);
@@ -324,12 +324,12 @@ mod tests {
             assert_eq!(rec.next_job, 0);
             j.append(&JournalRecord::Job {
                 job: 0,
-                scenario: scenario("a"),
+                scenario: Box::new(scenario("a")),
             })
             .expect("append");
             j.append(&JournalRecord::Job {
                 job: 1,
-                scenario: scenario("b"),
+                scenario: Box::new(scenario("b")),
             })
             .expect("append");
             j.append(&JournalRecord::Done {
@@ -355,7 +355,7 @@ mod tests {
             let (mut j, _) = Journal::open(&dir, false).expect("open");
             j.append(&JournalRecord::Job {
                 job: 0,
-                scenario: scenario("a"),
+                scenario: Box::new(scenario("a")),
             })
             .expect("append");
             j.append(&JournalRecord::Done {

@@ -13,9 +13,10 @@
 //! * **Backpressure, not buffering**: a bounded job queue sheds load
 //!   with an explicit `overloaded` reply and retry-after hint (`SC029`)
 //!   instead of growing memory.
-//! * **Per-request deadlines**: each job runs under the sweep
-//!   supervisor — deterministic sim-time watchdog, wall-clock backstop,
-//!   capped-and-jittered retries for transients.
+//! * **Per-request deadlines**: each job runs inline on its worker under
+//!   the sweep supervisor — deterministic sim-time watchdog, a wall-clock
+//!   deadline the engine enforces itself, capped-and-jittered retries for
+//!   transients and missed deadlines.
 //! * **Per-connection isolation**: a panicking job is a `panic` record,
 //!   not a dead server; a client that disconnects mid-stream has its
 //!   queued jobs cancelled, and the next connection is served as if
@@ -47,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use mpisim::{config_fingerprint, PoolBudget};
+use mpisim::PoolBudget;
 use tracefmt::json;
 use tracefmt::wire;
 
@@ -71,7 +72,10 @@ pub struct ServeOptions {
     /// The retry-after hint sent with `overloaded` replies.
     pub retry_after: Duration,
     /// Per-attempt wall-clock deadline (the sweep supervisor's
-    /// `wall_timeout` backstop behind the sim-time watchdog).
+    /// `wall_timeout` backstop behind the sim-time watchdog): the engine
+    /// stops a run that passes it, and the attempt is retried or recorded
+    /// as `wall-timeout`. Analysis and engine construction run before the
+    /// first check.
     pub deadline: Duration,
     /// Extra attempts after a transient failure or deadline miss.
     pub retries: u32,
@@ -202,16 +206,6 @@ fn wake_addr(bound: SocketAddr) -> SocketAddr {
     addr
 }
 
-fn zero_budget() -> PoolBudget {
-    PoolBudget {
-        ranks: 0,
-        steps: 0,
-        peak_queue: 0,
-        requests_per_rank: 0,
-        trace_records: 0,
-    }
-}
-
 /// Run the service until `shutdown` is set (the CLI wires SIGTERM and
 /// SIGINT to it) or a client sends `drain`, then drain gracefully:
 /// stop accepting, finish and journal everything already admitted,
@@ -282,7 +276,7 @@ pub fn run_serve(
         let report = simcheck::budget::budget(&scenario.config);
         shared.queue.push_recovered(Job {
             job: jobno,
-            fingerprint: config_fingerprint(&scenario.config),
+            fingerprint: report.fingerprint,
             config_json: json::to_string(&scenario.config),
             pool: report.pool,
             watchdog: sweep::sim_budget(&scenario, &shared.sweep_opts, &report),
@@ -364,9 +358,10 @@ fn accept_loop(
     Ok(())
 }
 
-/// One worker: drain the queue to terminal, journaled records.
+/// One worker: drain the queue to terminal, journaled records, running
+/// each job on this thread with buffers it grows to fit.
 fn worker(shared: &Shared) {
-    let pool = sweep::pool_slot(zero_budget());
+    let mut pool = sweep::WorkerPool::new(PoolBudget::default());
     while let Some(job) = shared.queue.pop() {
         shared.counters.inflight.fetch_add(1, Ordering::SeqCst);
         let result = if job.cancel.load(Ordering::SeqCst) {
@@ -381,7 +376,7 @@ fn worker(shared: &Shared) {
                 config_fingerprint: Some(job.fingerprint),
             }
         } else {
-            run_job(shared, &job, &pool)
+            run_job(shared, &job, &mut pool)
         };
         // The journal write is best-effort *here* (the result is already
         // earned, the client still gets it, and `query` answers it from
@@ -415,8 +410,9 @@ fn worker(shared: &Shared) {
 
 /// Execute one admitted job: cache-serve when warm, else supervise a
 /// real run under the service deadline policy (and store clean
-/// completions back).
-fn run_job(shared: &Shared, job: &Job, pool: &sweep::PoolSlot) -> ScenarioResult {
+/// completions back). Admission already analyzed the config — recovered
+/// jobs were admitted before the restart — so the supervisor skips that.
+fn run_job(shared: &Shared, job: &Job, pool: &mut sweep::WorkerPool) -> ScenarioResult {
     let cacheable = shared.cache.is_some()
         && job.scenario.chaos == Chaos::None
         && job.scenario.max_sim_time.is_none();
@@ -446,8 +442,16 @@ fn run_job(shared: &Shared, job: &Job, pool: &sweep::PoolSlot) -> ScenarioResult
             }
         }
     }
-    sweep::ensure_pool_budget(pool, job.pool);
-    let result = sweep::supervise(&job.scenario, &shared.sweep_opts, job.watchdog, None, pool);
+    pool.fit(job.pool);
+    let result = sweep::supervise(
+        &job.scenario,
+        &shared.sweep_opts,
+        job.watchdog,
+        job.fingerprint,
+        false,
+        None,
+        pool,
+    );
     if cacheable && result.status == ScenarioStatus::Ok {
         if let (Some(cache), Some(summary)) = (shared.cache.as_ref(), result.summary.as_ref()) {
             let _ = cache.store(&job.config_json, job.fingerprint, result.attempts, summary);
@@ -610,7 +614,7 @@ fn submit(
         .expect("journal poisoned")
         .append(&JournalRecord::Job {
             job: jobno,
-            scenario: scenario.clone(),
+            scenario: Box::new(scenario.clone()),
         });
     if let Err(e) = journaled {
         shared.queue.unreserve();
@@ -634,7 +638,7 @@ fn submit(
     });
     shared.queue.push_reserved(Job {
         job: jobno,
-        fingerprint: config_fingerprint(&scenario.config),
+        fingerprint: report.fingerprint,
         config_json: json::to_string(&scenario.config),
         pool: report.pool,
         watchdog: sweep::sim_budget(&scenario, &shared.sweep_opts, &report),

@@ -28,9 +28,10 @@ use super::Scenario;
 pub struct FabricChaos {
     /// `(worker, items)` pairs: worker `worker` is killed (retired)
     /// once it has completed exactly `items` scenarios — `0` kills it
-    /// before it ever takes work. Kills fire deterministically *between*
-    /// items, so no attempt is lost mid-run and record contents stay
-    /// bit-identical to an undisturbed sweep.
+    /// before it ever takes work — or, if the fabric runs dry before
+    /// that, when it does: every scheduled kill fires whatever the steal
+    /// order. Kills fire *between* items, so no attempt is lost mid-run
+    /// and record contents stay bit-identical to an undisturbed sweep.
     pub kill_workers: Vec<(usize, usize)>,
 }
 
@@ -45,6 +46,13 @@ impl FabricChaos {
         self.kill_workers
             .iter()
             .any(|&(w, items)| w == worker && items == done)
+    }
+
+    /// Is a kill of `worker` still scheduled after `done` items?
+    pub(crate) fn pending(&self, worker: usize, done: usize) -> bool {
+        self.kill_workers
+            .iter()
+            .any(|&(w, items)| w == worker && items > done)
     }
 }
 
@@ -210,5 +218,8 @@ mod tests {
         assert!(chaos.kills(2, 3));
         assert!(!chaos.kills(0, 0));
         assert!(!FabricChaos::none().kills(1, 0));
+        assert!(chaos.pending(2, 2));
+        assert!(!chaos.pending(2, 3));
+        assert!(!chaos.pending(1, 0));
     }
 }

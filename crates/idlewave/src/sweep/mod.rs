@@ -1,10 +1,9 @@
 //! Supervised, crash-safe sweep execution on a work-stealing fabric.
 //!
-//! [`crate::batch`] fans independent simulations out over threads but
-//! propagates any failure: one panicking scenario kills a thousand-config
-//! sweep. This module is the hardened harness for chaos and fault-plan
-//! sweeps, where individual scenarios — and the harness itself — are
-//! *expected* to die:
+//! This module runs grids of independent simulations — chaos and
+//! fault-plan sweeps included, where individual scenarios (and the harness
+//! itself) are *expected* to die — without letting one failure take the
+//! rest down:
 //!
 //! * scenarios are dealt into **sharded work-stealing deques**
 //!   ([`fabric`]): a fixed worker pool drains home shards and steals
@@ -13,12 +12,15 @@
 //!   its queued work redistributed — if every worker retires, the
 //!   supervisor drains the fabric inline, so a sweep degrades instead of
 //!   deadlocking ([`SweepReport::retired_workers`] counts the losses);
-//! * every scenario attempt runs in an isolated worker thread with panic
-//!   capture;
+//! * every scenario attempt runs inline on its worker under panic
+//!   capture; `simcheck::analyze` runs once per scenario, in the first
+//!   attempt that reaches it;
 //! * a **deterministic sim-time watchdog** (an [`mpisim::RunLimits`]
 //!   budget derived from the scenario's nominal timing) catches runaway
-//!   simulations reproducibly, and a wall-clock timeout backstops the
-//!   watchdog against harness bugs;
+//!   simulations reproducibly, and a wall-clock [`mpisim::Deadline`]
+//!   ([`SweepOptions::wall_timeout`]) backstops it: the engine checks the
+//!   deadline itself and stops, so a timed-out attempt leaves nothing
+//!   running;
 //! * transient failures are retried a bounded number of times with
 //!   **capped exponential backoff** ([`SweepOptions::retry_backoff`]);
 //! * a **pre-flight pass** warns on duplicated config fingerprints
@@ -73,12 +75,12 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use mpisim::{
-    config_fingerprint, try_run_checkpointed_pooled, try_run_with_stats_pooled, CheckpointPolicy,
-    Engine, EnginePools, PoolBudget, RunLimits, RunStats, SimConfig, SimError, Snapshot,
+    CheckpointPolicy, Deadline, Engine, EnginePools, PoolBudget, RunLimits, RunStats, SimConfig,
+    SimError, Snapshot,
 };
 use simdes::{SimDuration, SimTime};
 use tracefmt::json::{self, FromJson, Json, ToJson};
@@ -104,9 +106,11 @@ pub enum Chaos {
     ),
     /// Panic inside the worker on every attempt — exercises panic capture.
     Panic,
-    /// Sleep this long inside the attempt *while holding the slot's
-    /// engine-buffer pool* — exercises the wall-clock backstop and the
-    /// stranded-pool replacement.
+    /// Block the worker this long before the run, without the engine
+    /// ticking — exercises the wall-clock deadline. The sleep is cut at
+    /// the attempt's `wall_timeout`, and a hang that long is recorded as
+    /// a missed deadline, so a hang sent over the wire cannot hold a
+    /// worker longer than a deadline would.
     Hang(Duration),
 }
 
@@ -139,7 +143,8 @@ impl Scenario {
 /// Supervisor policy for one sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOptions {
-    /// Worker threads (supervision slots). Results do not depend on this.
+    /// Worker threads, each running its scenarios' attempts inline.
+    /// Results do not depend on this.
     pub threads: usize,
     /// Work-queue/result-file shards; `None` uses one per worker thread.
     /// Results do not depend on this either — a scenario's shard is a
@@ -154,8 +159,10 @@ pub struct SweepOptions {
     /// backoff.
     pub retry_backoff: Duration,
     /// Wall-clock ceiling per attempt — the backstop behind the
-    /// deterministic sim-time watchdog. A timed-out attempt's thread is
-    /// abandoned (detached), not killed.
+    /// deterministic sim-time watchdog, enforced by the engine itself as
+    /// an [`mpisim::Deadline`]: the fused kernel checks it every step, the
+    /// event loop every 1024 events, so an attempt past it stops its own
+    /// work. Analysis and engine construction run before the first check.
     pub wall_timeout: Duration,
     /// Advisory wall-clock budget for the *whole sweep*: pre-flight warns
     /// (`SC025`) when the worst-case retry schedule cannot fit in it, so
@@ -237,7 +244,7 @@ pub enum ScenarioStatus {
     Stalled,
     /// The deterministic sim-time or event budget tripped.
     Watchdog,
-    /// The wall-clock backstop fired; the attempt was abandoned.
+    /// The attempt ran past its wall-clock deadline and stopped itself.
     WallTimeout,
     /// The worker panicked.
     Panicked,
@@ -376,13 +383,14 @@ impl SweepReport {
     }
 }
 
-/// Outcome of one attempt, produced inside the worker thread.
+/// Outcome of one attempt.
 enum Attempt {
     Ok(Box<RunSummary>),
     Invalid(String),
     Stalled(String),
     Watchdog(String),
     Transient(String),
+    WallTimeout,
     Panicked(String),
 }
 
@@ -401,6 +409,8 @@ struct RunCtx<'a> {
     opts: &'a SweepOptions,
     ckpt_dir: Option<&'a Path>,
     cache: Option<&'a cache::ResultCache>,
+    /// Canonical config JSON per scenario, the cache's verification key;
+    /// empty without a cache.
     config_jsons: &'a [String],
     fingerprints: &'a [u64],
     watchdogs: &'a [SimTime],
@@ -453,14 +463,14 @@ pub fn run_sweep_interruptible(
             ));
         }
     }
-    let config_jsons: Vec<String> = scenarios
+    // One static budget analysis per scenario carries its config
+    // fingerprint and feeds the watchdog limit of every attempt and the
+    // pre-flight checks below.
+    let reports: Vec<simcheck::BudgetReport> = scenarios
         .iter()
-        .map(|s| json::to_string(&s.config))
+        .map(|s| simcheck::budget::budget(&s.config))
         .collect();
-    let fingerprints: Vec<u64> = scenarios
-        .iter()
-        .map(|s| config_fingerprint(&s.config))
-        .collect();
+    let fingerprints: Vec<u64> = reports.iter().map(|r| r.fingerprint).collect();
 
     let mut warnings = Vec::new();
     let previous = if opts.resume {
@@ -488,12 +498,6 @@ pub fn run_sweep_interruptible(
     let manifest = shard::manifest_path(out_path);
     shard::write_atomic(&manifest, &format!("{}\n", json::to_string(&header)))?;
 
-    // One static budget analysis per scenario feeds the watchdog limit
-    // of every attempt and the pre-flight checks below.
-    let reports: Vec<simcheck::BudgetReport> = scenarios
-        .iter()
-        .map(|s| simcheck::budget::budget(&s.config))
-        .collect();
     let watchdogs: Vec<SimTime> = scenarios
         .iter()
         .zip(&reports)
@@ -528,9 +532,14 @@ pub fn run_sweep_interruptible(
     // The verified result cache: an unusable directory degrades to an
     // uncached sweep (SC026) instead of failing mid-run; verified
     // entries that store a different config are named up front (SC027).
+    let mut config_jsons = Vec::new();
     let cache = match &opts.cache_dir {
         Some(dir) => match cache::ResultCache::open(dir) {
             Ok(c) => {
+                config_jsons = scenarios
+                    .iter()
+                    .map(|s| json::to_string(&s.config))
+                    .collect();
                 let entries = scenarios
                     .iter()
                     .zip(&config_jsons)
@@ -551,20 +560,14 @@ pub fn run_sweep_interruptible(
 
     // Pre-flight budget pass: the static analyses feed the suite-level
     // duplicate check (SC020), the --budget gate (SC018), and the shared
-    // buffer shape every supervision slot pre-sizes from.
+    // buffer shape every worker pre-sizes from.
     let ids: Vec<&str> = scenarios.iter().map(|s| s.id.as_str()).collect();
     for d in simcheck::budget::duplicate_fingerprint_checks(&ids, &fingerprints) {
         warnings.push(d.to_string());
     }
     let mut preflight: Vec<Option<ScenarioResult>> = Vec::with_capacity(scenarios.len());
     preflight.resize_with(scenarios.len(), || None);
-    let mut pool_budget = PoolBudget {
-        ranks: 0,
-        steps: 0,
-        peak_queue: 0,
-        requests_per_rank: 0,
-        trace_records: 0,
-    };
+    let mut pool_budget = PoolBudget::default();
     let gates = simcheck::budget::Budgets {
         max_events: opts.budget,
         ..Default::default()
@@ -652,7 +655,7 @@ pub fn run_sweep_interruptible(
                 // allocations from it and stays inside the budget, so a
                 // sweep allocates once per worker instead of once per
                 // attempt — settled from run 1, no warmup runs.
-                let pool = pool_slot(pool_budget);
+                let mut pool = WorkerPool::new(pool_budget);
                 let mut done = 0usize;
                 loop {
                     if ctx.opts.fabric_chaos.kills(w, done) {
@@ -666,9 +669,13 @@ pub fn run_sweep_interruptible(
                         break;
                     }
                     let Some(item) = queues.next_for(w) else {
+                        // Run dry before its scheduled kill: it dies now.
+                        if ctx.opts.fabric_chaos.pending(w, done) {
+                            ctx.counters.retired.fetch_add(1, Ordering::Relaxed);
+                        }
                         break;
                     };
-                    let result = run_one(ctx, item.scenario, item.idx, &pool);
+                    let result = run_one(ctx, item.scenario, item.idx, &mut pool);
                     let persisted = sinks[queues.shard_of(item.idx)]
                         .lock()
                         .expect("sink poisoned")
@@ -702,9 +709,9 @@ pub fn run_sweep_interruptible(
     // scenarios a --resume run is supposed to pick up.
     let leftovers = queues.drain_leftovers();
     if !leftovers.is_empty() && !stop.load(Ordering::SeqCst) {
-        let pool = pool_slot(pool_budget);
+        let mut pool = WorkerPool::new(pool_budget);
         for item in leftovers {
-            let result = run_one(&ctx, item.scenario, item.idx, &pool);
+            let result = run_one(&ctx, item.scenario, item.idx, &mut pool);
             sinks[queues.shard_of(item.idx)]
                 .lock()
                 .expect("sink poisoned")
@@ -766,7 +773,12 @@ pub fn run_sweep_interruptible(
 /// Run one scenario to a terminal record: serve it from the verified
 /// cache when eligible, otherwise supervise a real run (and store clean
 /// completions back into the cache).
-fn run_one(ctx: &RunCtx<'_>, scenario: &Scenario, idx: usize, pool: &PoolSlot) -> ScenarioResult {
+fn run_one(
+    ctx: &RunCtx<'_>,
+    scenario: &Scenario,
+    idx: usize,
+    pool: &mut WorkerPool,
+) -> ScenarioResult {
     let fp = ctx.fingerprints[idx];
     // Cache eligibility: the entry key is the config fingerprint and
     // nothing else, so anything that makes the outcome depend on more
@@ -811,7 +823,15 @@ fn run_one(ctx: &RunCtx<'_>, scenario: &Scenario, idx: usize, pool: &PoolSlot) -
         policy: ctx.opts.checkpoint,
         resume: ctx.opts.resume,
     });
-    let result = supervise(scenario, ctx.opts, ctx.watchdogs[idx], ckpt.as_ref(), pool);
+    let result = supervise(
+        scenario,
+        ctx.opts,
+        ctx.watchdogs[idx],
+        fp,
+        true,
+        ckpt.as_ref(),
+        pool,
+    );
     if cacheable && result.status == ScenarioStatus::Ok {
         if let (Some(cache), Some(summary)) = (ctx.cache, result.summary) {
             // Best-effort: a full disk must not fail an earned result.
@@ -821,38 +841,38 @@ fn run_one(ctx: &RunCtx<'_>, scenario: &Scenario, idx: usize, pool: &PoolSlot) -
     result
 }
 
-/// A supervision slot's shared engine-buffer pool. Attempt threads take
-/// the pools out under a brief lock before the run and put them back
-/// after — the lock is never held across a run. An attempt abandoned by
-/// the wall-clock backstop walks off with the pool instance it took; the
-/// backstop immediately installs a fresh budget-sized replacement and
-/// bumps the generation counter, so the abandoned thread's eventual
-/// put-back is recognised as stale and discarded instead of clobbering
-/// the replacement. Long sweeps therefore keep pooling across timeouts
-/// instead of silently degrading to unpooled runs.
-pub(crate) struct PoolState {
-    /// Bumped whenever the backstop abandons an attempt; a put-back from
-    /// an older generation is dropped.
-    gen: u64,
-    /// The shape fresh and replacement pools are sized from.
+/// One worker's engine buffers and the shape they were sized to. The
+/// worker runs every attempt on its own stack, so nothing else ever
+/// touches them.
+pub(crate) struct WorkerPool {
     budget: PoolBudget,
-    pool: Option<EnginePools>,
+    pools: EnginePools,
 }
 
-pub(crate) type PoolSlot = Arc<Mutex<PoolState>>;
+impl WorkerPool {
+    /// Buffers pre-sized to `budget`.
+    pub(crate) fn new(budget: PoolBudget) -> Self {
+        WorkerPool {
+            budget,
+            pools: EnginePools::with_budget(&budget),
+        }
+    }
 
-/// A slot holding a freshly budget-sized pool.
-pub(crate) fn pool_slot(budget: PoolBudget) -> PoolSlot {
-    Arc::new(Mutex::new(PoolState {
-        gen: 0,
-        budget,
-        pool: Some(EnginePools::with_budget(&budget)),
-    }))
+    /// Grow the buffers to fit `want` too — `wavesim serve` cannot
+    /// pre-size against a known suite the way a sweep can, so its workers
+    /// grow monotonically as bigger submissions arrive. No-op when they
+    /// already fit.
+    pub(crate) fn fit(&mut self, want: PoolBudget) {
+        let grown = max_pool_budget(self.budget, want);
+        if grown != self.budget {
+            *self = WorkerPool::new(grown);
+        }
+    }
 }
 
 /// Elementwise maximum of two pool shapes: a slot sized to the max fits
 /// every scenario in the sweep without growing.
-pub(crate) fn max_pool_budget(a: PoolBudget, b: PoolBudget) -> PoolBudget {
+fn max_pool_budget(a: PoolBudget, b: PoolBudget) -> PoolBudget {
     PoolBudget {
         ranks: a.ranks.max(b.ranks),
         steps: a.steps.max(b.steps),
@@ -862,29 +882,8 @@ pub(crate) fn max_pool_budget(a: PoolBudget, b: PoolBudget) -> PoolBudget {
     }
 }
 
-/// Grow a slot's pool to (at least) `want` before a job that needs more
-/// than the slot currently holds — `wavesim serve` cannot pre-size
-/// against a known suite the way a sweep can, so its workers grow their
-/// slot monotonically as bigger submissions arrive. The generation is
-/// bumped so an abandoned attempt's late put-back of the *old* pool is
-/// discarded. No-op when the slot already fits.
-pub(crate) fn ensure_pool_budget(slot: &PoolSlot, want: PoolBudget) {
-    let mut s = slot.lock().expect("pool poisoned");
-    let grown = max_pool_budget(s.budget, want);
-    let fits = grown.ranks == s.budget.ranks
-        && grown.steps == s.budget.steps
-        && grown.peak_queue == s.budget.peak_queue
-        && grown.requests_per_rank == s.budget.requests_per_rank
-        && grown.trace_records == s.budget.trace_records;
-    if !fits {
-        s.gen += 1;
-        s.budget = grown;
-        s.pool = Some(EnginePools::with_budget(&grown));
-    }
-}
-
 /// Mid-scenario checkpointing instructions for one scenario's attempts.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CkptPlan {
     path: PathBuf,
     policy: CheckpointPolicy,
@@ -1010,16 +1009,21 @@ fn validate_resume_configs(
     Ok(())
 }
 
-/// Supervise one scenario: bounded attempts, each in an isolated worker
-/// with panic capture and the wall-clock backstop, with capped
-/// exponential backoff between retries. `watchdog` is the scenario's
-/// sim-time limit, [`sim_budget`] of the caller's budget report.
+/// Supervise one scenario on the calling worker: bounded attempts, each
+/// under panic capture and a wall-clock [`Deadline`] the engine enforces,
+/// with capped exponential backoff between retries. `watchdog` is the
+/// scenario's sim-time limit, [`sim_budget`] of the caller's budget
+/// report, and `fingerprint` its config fingerprint. With `analyze`,
+/// `simcheck::analyze` runs in the first attempt that gets past the chaos
+/// hooks; serve passes `false`, because admission already ran it.
 pub(crate) fn supervise(
     scenario: &Scenario,
     opts: &SweepOptions,
     watchdog: SimTime,
+    fingerprint: u64,
+    mut analyze: bool,
     ckpt: Option<&CkptPlan>,
-    pool: &PoolSlot,
+    pool: &mut WorkerPool,
 ) -> ScenarioResult {
     let limits = RunLimits {
         max_sim_time: Some(watchdog),
@@ -1031,35 +1035,42 @@ pub(crate) fn supervise(
     let salt = fnv1a_64(scenario.id.as_bytes());
     let mut attempts = 0u32;
     loop {
-        let outcome = run_attempt(scenario, attempts, &limits, opts.wall_timeout, ckpt, pool);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_attempt(
+                scenario,
+                attempts,
+                &limits,
+                opts.wall_timeout,
+                &mut analyze,
+                ckpt,
+                &mut pool.pools,
+            )
+        }))
+        .unwrap_or_else(|payload| {
+            // The unwound run took the buffers with it.
+            *pool = WorkerPool::new(pool.budget);
+            Attempt::Panicked(panic_text(payload.as_ref()))
+        });
         attempts += 1;
         let (status, error, summary) = match outcome {
-            Some(Attempt::Ok(summary)) => (ScenarioStatus::Ok, None, Some(*summary)),
-            Some(Attempt::Invalid(e)) => (ScenarioStatus::Invalid, Some(e), None),
-            Some(Attempt::Stalled(e)) => (ScenarioStatus::Stalled, Some(e), None),
-            Some(Attempt::Watchdog(e)) => (ScenarioStatus::Watchdog, Some(e), None),
-            Some(Attempt::Panicked(e)) => (ScenarioStatus::Panicked, Some(e), None),
-            Some(Attempt::Transient(e)) => {
-                if attempts <= opts.retries {
-                    backoff_sleep(opts.retry_backoff, attempts, salt);
-                    continue;
-                }
-                (ScenarioStatus::Transient, Some(e), None)
+            Attempt::Ok(summary) => (ScenarioStatus::Ok, None, Some(*summary)),
+            Attempt::Invalid(e) => (ScenarioStatus::Invalid, Some(e), None),
+            Attempt::Stalled(e) => (ScenarioStatus::Stalled, Some(e), None),
+            Attempt::Watchdog(e) => (ScenarioStatus::Watchdog, Some(e), None),
+            Attempt::Panicked(e) => (ScenarioStatus::Panicked, Some(e), None),
+            Attempt::Transient(_) | Attempt::WallTimeout if attempts <= opts.retries => {
+                backoff_sleep(opts.retry_backoff, attempts, salt);
+                continue;
             }
-            None => {
-                if attempts <= opts.retries {
-                    backoff_sleep(opts.retry_backoff, attempts, salt);
-                    continue;
-                }
-                (
-                    ScenarioStatus::WallTimeout,
-                    Some(format!(
-                        "attempt exceeded the {:?} wall-clock backstop",
-                        opts.wall_timeout
-                    )),
-                    None,
-                )
-            }
+            Attempt::Transient(e) => (ScenarioStatus::Transient, Some(e), None),
+            Attempt::WallTimeout => (
+                ScenarioStatus::WallTimeout,
+                Some(format!(
+                    "attempt exceeded the {:?} wall-clock backstop",
+                    opts.wall_timeout
+                )),
+                None,
+            ),
         };
         return ScenarioResult {
             id: scenario.id.clone(),
@@ -1067,7 +1078,7 @@ pub(crate) fn supervise(
             attempts,
             error,
             summary,
-            config_fingerprint: Some(config_fingerprint(&scenario.config)),
+            config_fingerprint: Some(fingerprint),
         };
     }
 }
@@ -1099,57 +1110,20 @@ fn backoff_sleep(base: Duration, attempt: u32, salt: u64) {
     std::thread::sleep(nominal.mul_f64(backoff_jitter(salt, attempt)));
 }
 
-/// One isolated attempt. `None` means the wall-clock backstop fired and
-/// the worker thread was abandoned.
+/// One attempt, run inline on the worker. Its deadline starts here, so
+/// the analysis, a chaos hang and engine construction all count against
+/// it, but only the run itself can stop early.
 fn run_attempt(
     scenario: &Scenario,
     attempt: u32,
     limits: &RunLimits,
     wall_timeout: Duration,
+    analyze: &mut bool,
     ckpt: Option<&CkptPlan>,
-    pool: &PoolSlot,
-) -> Option<Attempt> {
-    let cfg = scenario.config.clone();
-    let chaos = scenario.chaos;
-    let limits = *limits;
-    let ckpt = ckpt.cloned();
-    let worker_pool = Arc::clone(pool);
-    let (tx, rx) = mpsc::channel::<Attempt>();
-    std::thread::spawn(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            attempt_body(cfg, chaos, attempt, &limits, ckpt.as_ref(), &worker_pool)
-        }))
-        .unwrap_or_else(|payload| Attempt::Panicked(panic_text(payload.as_ref())));
-        // The receiver is gone iff the backstop already fired.
-        let _ = tx.send(outcome);
-    });
-    match rx.recv_timeout(wall_timeout) {
-        Ok(outcome) => Some(outcome),
-        Err(_) => {
-            // The abandoned thread walked off with the slot's pool (or is
-            // about to put it back). Invalidate its generation so a late
-            // put-back is discarded, and refill an emptied slot with a
-            // fresh budget-sized pool so later attempts keep pooling.
-            let mut slot = pool.lock().expect("pool poisoned");
-            slot.gen += 1;
-            if slot.pool.is_none() {
-                slot.pool = Some(EnginePools::with_budget(&slot.budget));
-            }
-            None
-        }
-    }
-}
-
-/// The actual work of one attempt, run inside the isolated worker.
-fn attempt_body(
-    cfg: SimConfig,
-    chaos: Chaos,
-    attempt: u32,
-    limits: &RunLimits,
-    ckpt: Option<&CkptPlan>,
-    pool: &PoolSlot,
+    pools: &mut EnginePools,
 ) -> Attempt {
-    match chaos {
+    let deadline = Deadline::after(wall_timeout);
+    match scenario.chaos {
         Chaos::Panic => panic!("chaos: deliberate panic"),
         Chaos::FailAttempts(n) if attempt < n => {
             return Attempt::Transient(format!(
@@ -1159,75 +1133,39 @@ fn attempt_body(
         }
         _ => {}
     }
-    let diags = simcheck::analyze(&cfg);
-    if simcheck::has_errors(&diags) {
-        let errors: Vec<_> = diags.into_iter().filter(|d| d.is_error()).collect();
-        return Attempt::Invalid(simcheck::render_report(&errors));
+    let cfg = &scenario.config;
+    if std::mem::take(analyze) {
+        let diags = simcheck::analyze(cfg);
+        if simcheck::has_errors(&diags) {
+            let errors: Vec<_> = diags.into_iter().filter(|d| d.is_error()).collect();
+            return Attempt::Invalid(simcheck::render_report(&errors));
+        }
     }
-    // A mid-run resume rebuilds its engine from the snapshot, not the
-    // pool; only fresh runs draw their buffers from the slot's pool.
-    if let Some(engine) = try_restore(&cfg, ckpt) {
-        return classify(run_restored(engine, limits, ckpt));
+    if let Chaos::Hang(d) = scenario.chaos {
+        // Block without the engine ticking, for no longer than the
+        // deadline the engine would otherwise have enforced.
+        std::thread::sleep(d.min(wall_timeout));
+        if d >= wall_timeout {
+            return Attempt::WallTimeout;
+        }
     }
-    let (gen, mut pools) = {
-        let mut slot = pool.lock().expect("pool poisoned");
-        let gen = slot.gen;
-        let budget = slot.budget;
-        let pools = slot
-            .pool
-            .take()
-            .unwrap_or_else(|| EnginePools::with_budget(&budget));
-        (gen, pools)
+    // A mid-run resume rebuilds its engine from the snapshot; fresh runs
+    // draw their buffers from the worker's pools. Both give them back.
+    let engine = match try_restore(cfg, ckpt) {
+        Some(engine) => Ok(engine),
+        None => Engine::try_new_pooled(cfg.clone(), pools),
     };
-    if let Chaos::Hang(d) = chaos {
-        // Deliberately outlast the wall-clock backstop while holding the
-        // slot's pool — the stranded-pool scenario.
-        std::thread::sleep(d);
-    }
-    let run = match ckpt {
-        Some(plan) if plan.policy.is_active() => {
-            let path = plan.path.clone();
-            try_run_checkpointed_pooled(
-                &cfg,
-                limits,
-                &plan.policy,
-                move |snap| {
-                    // Best-effort: a full disk must not kill a healthy run.
-                    let _ = write_snapshot_atomic(&path, snap);
-                },
-                &mut pools,
-            )
+    let policy = ckpt.map_or(CheckpointPolicy::none(), |plan| plan.policy);
+    let sink = |snap: &Snapshot| {
+        if let Some(plan) = ckpt {
+            // Best-effort: a full disk must not kill a healthy run.
+            let _ = write_snapshot_atomic(&plan.path, snap);
         }
-        _ => try_run_with_stats_pooled(&cfg, limits, &mut pools),
     };
-    {
-        let mut slot = pool.lock().expect("pool poisoned");
-        if slot.gen == gen {
-            slot.pool = Some(pools);
-        }
-        // else: the backstop abandoned this attempt and already installed
-        // a replacement — this pool is stale, drop it.
-    }
-    classify(run)
-}
-
-/// Finish a snapshot-restored engine (unpooled — see [`attempt_body`]).
-fn run_restored(
-    engine: Engine,
-    limits: &RunLimits,
-    ckpt: Option<&CkptPlan>,
-) -> Result<(Trace, RunStats), SimError> {
-    match ckpt {
-        Some(plan) if plan.policy.is_active() => {
-            let path = plan.path.clone();
-            let policy = plan.policy;
-            engine.try_run_checkpointed(limits, &policy, move |snap| {
-                // Best-effort: a full disk must not kill a healthy run.
-                let _ = write_snapshot_atomic(&path, snap);
-            })
-        }
-        _ => engine.try_run_with_stats(limits),
-    }
+    classify(engine.and_then(|e| {
+        e.with_deadline(deadline)
+            .try_run_pooled(limits, &policy, sink, pools)
+    }))
 }
 
 /// Map a run's result to an attempt outcome.
@@ -1239,6 +1177,7 @@ fn classify(run: Result<(Trace, RunStats), SimError>) -> Attempt {
         Err(e @ (SimError::InvalidConfig(_) | SimError::Snapshot(_))) => {
             Attempt::Invalid(e.to_string())
         }
+        Err(SimError::DeadlinePassed { .. }) => Attempt::WallTimeout,
     }
 }
 
@@ -1383,7 +1322,7 @@ tracefmt::json_codec! {
 mod tests {
     use super::*;
     use crate::experiment::WaveExperiment;
-    use mpisim::{FaultPlan, MessageFaults};
+    use mpisim::{config_fingerprint, FaultPlan, MessageFaults};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("idlewave-sweep-tests");
@@ -1559,69 +1498,91 @@ mod tests {
         assert_eq!(report.failures(), 4);
     }
 
-    /// Attempts in one supervision slot share the slot's [`EnginePools`],
-    /// pre-sized from the budget analyzer's predicted shape: same-shape
-    /// scenarios through the same slot never allocate beyond the budget —
-    /// settled from run 1, no warmup runs.
+    /// Attempts on one worker share its [`EnginePools`], pre-sized from
+    /// the budget analyzer's predicted shape: same-shape scenarios never
+    /// allocate beyond the budget — settled from run 1, no warmup runs.
     #[test]
-    fn attempts_reuse_the_slot_pool_across_scenarios() {
-        let pool = pool_slot(simcheck::budget::budget(&quick_cfg(0)).pool);
-        let limits = RunLimits::none();
+    fn attempts_reuse_the_worker_pool_across_scenarios() {
+        let mut pool = WorkerPool::new(simcheck::budget::budget(&quick_cfg(0)).pool);
         for seed in 0..6u64 {
-            match attempt_body(quick_cfg(seed), Chaos::None, 0, &limits, None, &pool) {
-                Attempt::Ok(_) => {}
-                _ => panic!("attempt for seed {seed} did not succeed"),
-            }
-            let slot = pool.lock().expect("pool lock");
-            let pools = slot.pool.as_ref().expect("pools returned to the slot");
+            let s = Scenario::new(format!("s{seed}"), quick_cfg(seed));
+            let r = supervise(&s, &opts(), SimTime(u64::MAX), 0, true, None, &mut pool);
+            assert_eq!(r.status, ScenarioStatus::Ok, "seed {seed}: {r:?}");
             assert_eq!(
-                pools.grows(),
+                pool.pools.grows(),
                 0,
                 "a budget-sized pool grew on seed {seed} (run {})",
-                pools.runs()
+                pool.pools.runs()
             );
         }
+        assert_eq!(pool.pools.runs(), 6);
     }
 
-    /// A wall-timeout-abandoned attempt walks off with the slot's pool;
-    /// the backstop must install a fresh budget-sized replacement and the
-    /// abandoned thread's late put-back must be discarded, not clobber it.
+    /// A hang longer than the deadline is cut at the deadline and retried
+    /// like any missed deadline; it never touches the worker's pool, so
+    /// the worker's next scenario runs on the same budget-sized buffers.
     #[test]
-    fn wall_timeout_replaces_the_stranded_pool() {
-        let pool = pool_slot(simcheck::budget::budget(&quick_cfg(0)).pool);
-        let limits = RunLimits::none();
-        let scenario = Scenario {
-            id: "hangs".into(),
-            config: quick_cfg(0),
-            chaos: Chaos::Hang(Duration::from_millis(400)),
-            max_sim_time: None,
+    fn a_hang_past_the_deadline_records_wall_timeout_and_the_worker_carries_on() {
+        let hang = Scenario {
+            chaos: Chaos::Hang(Duration::from_secs(3600)),
+            ..Scenario::new("hangs", quick_cfg(0))
         };
-        let outcome = run_attempt(
-            &scenario,
-            0,
-            &limits,
-            Duration::from_millis(20),
-            None,
-            &pool,
-        );
-        assert!(outcome.is_none(), "the backstop must fire");
-        {
-            let slot = pool.lock().expect("pool lock");
-            assert_eq!(slot.gen, 1, "abandonment must invalidate the generation");
-            let pools = slot.pool.as_ref().expect("slot refilled with a fresh pool");
-            assert_eq!(pools.runs(), 0, "the replacement pool is fresh");
-        }
-        // Wait out the abandoned thread (400 ms hang plus a short run),
-        // then confirm its stale put-back was discarded: the replacement
-        // would show runs() >= 1 if the stale pool had clobbered it.
-        std::thread::sleep(Duration::from_millis(1500));
-        let slot = pool.lock().expect("pool lock");
-        let pools = slot.pool.as_ref().expect("replacement must stay in place");
+        let next = Scenario::new("next", quick_cfg(1));
+        let o = SweepOptions {
+            threads: 1,
+            retries: 1,
+            retry_backoff: Duration::ZERO,
+            wall_timeout: Duration::from_millis(20),
+            ..opts()
+        };
+        let out = tmp("hang_wall_timeout.jsonl");
+        let _ = std::fs::remove_file(&out);
+        let report = run_sweep(&[hang.clone(), next.clone()], &o, &out).expect("sweep io");
+        let r = &report.results[0];
+        assert_eq!(r.status, ScenarioStatus::WallTimeout, "{r:?}");
+        assert_eq!(r.attempts, o.retries + 1);
         assert_eq!(
-            pools.runs(),
-            0,
-            "the abandoned attempt's stale pool clobbered the replacement"
+            r.error.as_deref(),
+            Some("attempt exceeded the 20ms wall-clock backstop")
         );
+        assert_eq!(report.results[1].status, ScenarioStatus::Ok);
+
+        let mut pool = WorkerPool::new(simcheck::budget::budget(&quick_cfg(0)).pool);
+        let r = supervise(&hang, &o, SimTime(u64::MAX), 0, true, None, &mut pool);
+        assert_eq!(r.status, ScenarioStatus::WallTimeout);
+        let r = supervise(&next, &o, SimTime(u64::MAX), 0, true, None, &mut pool);
+        assert_eq!(r.status, ScenarioStatus::Ok);
+        assert_eq!(pool.pools.grows(), 0);
+        assert_eq!(pool.pools.runs(), 1, "the hung attempt never ran");
+    }
+
+    /// A deadline that has already passed stops the fused kernel before
+    /// its first step and the event loop at its first event.
+    #[test]
+    fn a_zero_wall_timeout_records_wall_timeout_on_both_engine_paths() {
+        let fused = WaveExperiment::flat_chain(8)
+            .eager()
+            .texec(SimDuration::from_millis(1))
+            .steps(5)
+            .into_config();
+        assert!(mpisim::fused_path_eligible(&fused));
+        let mut rdvz = quick_cfg(3);
+        rdvz.protocol = mpisim::Protocol::Rendezvous;
+        assert!(!mpisim::fused_path_eligible(&rdvz));
+        let o = SweepOptions {
+            retries: 1,
+            retry_backoff: Duration::ZERO,
+            wall_timeout: Duration::ZERO,
+            ..opts()
+        };
+        let out = tmp("zero_wall_timeout.jsonl");
+        let _ = std::fs::remove_file(&out);
+        let scenarios = [Scenario::new("fused", fused), Scenario::new("rdvz", rdvz)];
+        let report = run_sweep(&scenarios, &o, &out).expect("sweep io");
+        for r in &report.results {
+            assert_eq!(r.status, ScenarioStatus::WallTimeout, "{r:?}");
+            assert_eq!(r.attempts, 2, "{r:?}");
+        }
     }
 
     #[test]

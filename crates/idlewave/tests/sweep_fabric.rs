@@ -168,7 +168,7 @@ fn merged_report_is_invariant_under_fabric_scheduling() {
                     .append(true)
                     .open(shard_file(cut % prev_shards))
                     .expect("shard file");
-                f.write_all(line[..tear].as_bytes()).expect("torn record");
+                f.write_all(&line.as_bytes()[..tear]).expect("torn record");
             }
             let resumed = run_sweep(
                 &scenarios,

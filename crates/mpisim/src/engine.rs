@@ -63,7 +63,7 @@ use workload::{CommPattern, ExecModel};
 
 use crate::config::{Mode, NoisePlacement, SimConfig};
 use crate::diag;
-use crate::error::{RunLimits, SimError};
+use crate::error::{Deadline, RunLimits, SimError};
 use crate::faults::{CrashOutcome, Delivery};
 use crate::snapshot::{CheckpointPolicy, Snapshot};
 
@@ -663,7 +663,7 @@ pub struct EnginePools {
 /// prediction math lives outside this crate (`simcheck::budget` derives a
 /// `PoolBudget` from a `SimConfig`), and the engine only consumes the
 /// numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolBudget {
     /// Ranks in the scenario (sizes request lists and scratch vectors).
     pub ranks: u32,
@@ -864,6 +864,8 @@ pub struct Engine {
     /// Scratch for batching a handler's event emissions into one
     /// [`EventQueue::push_batch`] splice; always drained after use.
     batch: Vec<(SimTime, Ev)>,
+    /// Wall-clock stop for the next run ([`Engine::with_deadline`]).
+    deadline: Option<Deadline>,
 }
 
 impl Engine {
@@ -898,6 +900,15 @@ impl Engine {
             return Err(SimError::InvalidConfig(errors));
         }
         Ok(Engine::scaffold(cfg, Some(pools)))
+    }
+
+    /// Stop the run with [`SimError::DeadlinePassed`] once `deadline` has
+    /// passed (see [`Deadline`] for where it is checked). Sim results do
+    /// not depend on it: a run that finishes is bit-identical to one
+    /// without a deadline.
+    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
+        self.deadline = Some(deadline);
+        self
     }
 
     /// Build an engine in the fresh (pre-run) state with every derived
@@ -1014,6 +1025,7 @@ impl Engine {
             elided: 0,
             fused,
             batch: Vec::new(),
+            deadline: None,
         }
     }
 
@@ -1155,7 +1167,31 @@ impl Engine {
         Ok((trace, self.stats))
     }
 
-    /// Run to completion, a tripped budget, or a starved queue.
+    /// [`Engine::try_run_checkpointed`] that gives every pooled buffer
+    /// back to `pools` afterwards, success or not — the sweep and serve
+    /// workers' path, so a worker churning through hundreds of scenarios
+    /// reuses one set of buffers instead of reallocating per attempt.
+    pub fn try_run_pooled<F>(
+        mut self,
+        limits: &RunLimits,
+        policy: &CheckpointPolicy,
+        mut sink: F,
+        pools: &mut EnginePools,
+    ) -> Result<(Trace, RunStats), SimError>
+    where
+        F: FnMut(&Snapshot),
+    {
+        let run = self.run_loop(limits, policy, &mut sink).map(|()| {
+            let trace =
+                Trace::from_record_buffer(self.cfg.ranks(), self.cfg.steps, &mut self.records);
+            (trace, self.stats)
+        });
+        self.recycle(pools);
+        run
+    }
+
+    /// Run to completion, a tripped budget, a passed deadline, or a
+    /// starved queue.
     ///
     /// A fresh fusion-eligible engine with no checkpoint cadence runs the
     /// fused kernel instead, limits or not, and checks the limits on the
@@ -1166,7 +1202,8 @@ impl Engine {
     /// `max_sim_time`. On a trip (or any unfinished run) the engine is
     /// rebuilt and replayed through the event loop, which yields the
     /// exact [`SimError`] — `at`, `events`, `why` — of a run that never
-    /// fused. Every other run — plain, limited, checkpointed or restored —
+    /// fused. A passed [`Deadline`] is returned as is, never replayed.
+    /// Every other run — plain, limited, checkpointed or restored —
     /// takes the one event loop, specialized once for its protocol and
     /// trace mode ([`dispatch::pump_events`]), with the budgets and the
     /// checkpoint cadence checked inline. Checkpointed and restored runs
@@ -1181,7 +1218,7 @@ impl Engine {
         let nranks = self.cfg.ranks();
         if !self.started && self.fused.is_some() && !policy.is_active() {
             self.started = true;
-            self.run_fused();
+            self.run_fused()?;
             self.stats.events = self.elided;
             let over_events = limits.max_events.is_some_and(|n| self.elided > n);
             let end = self.finish.iter().copied().max().unwrap_or(SimTime::ZERO);
@@ -1222,9 +1259,10 @@ impl Engine {
     fn rebuild_for_replay(&mut self) {
         let mut pools = EnginePools::new();
         self.stow(&mut pools);
-        let mode = self.mode;
+        let (mode, deadline) = (self.mode, self.deadline);
         *self = Engine::scaffold(self.cfg.clone(), Some(&mut pools));
         self.mode = mode;
+        self.deadline = deadline;
         self.fused = None;
     }
 
@@ -1251,8 +1289,9 @@ impl Engine {
     /// the [`Trace`] moves nothing. Every calendar event the event loop
     /// would have delivered — one `ExecEnd` per (rank, step) plus one
     /// `EagerArrive` per payload — is counted in `elided` instead, keeping
-    /// `RunStats::events` exact for the budget analyzer.
-    fn run_fused(&mut self) {
+    /// `RunStats::events` exact for the budget analyzer. A passed
+    /// [`Deadline`] is checked before every step.
+    fn run_fused(&mut self) -> Result<(), SimError> {
         let plan = self.fused.take().expect("run_fused needs a fused plan");
         let csr = self.csr.take().expect("fused runs are pattern-driven");
         let nranks = self.cfg.ranks();
@@ -1273,6 +1312,11 @@ impl Engine {
         }
         let mut arrivals = vec![SimTime::ZERO; csr.recv.len()];
         for step in 0..steps {
+            if self.deadline.is_some_and(Deadline::passed) {
+                return Err(SimError::DeadlinePassed {
+                    events: self.elided,
+                });
+            }
             for r in 0..nranks {
                 let ri = r as usize;
                 // `finish` holds the rank's previous comm_end (zero before
@@ -1309,6 +1353,7 @@ impl Engine {
         self.done_count = nranks;
         self.csr = Some(csr);
         self.fused = Some(plan);
+        Ok(())
     }
 
     /// Post-mortem for a drained event queue with unfinished ranks: build
@@ -2137,48 +2182,12 @@ pub fn try_run_with_stats_pooled(
     limits: &RunLimits,
     pools: &mut EnginePools,
 ) -> Result<(Trace, RunStats), SimError> {
-    let mut e = Engine::try_new_pooled(cfg.clone(), pools)?;
-    match e.run_loop(limits, &CheckpointPolicy::none(), &mut |_| {}) {
-        Ok(()) => {
-            let trace = Trace::from_record_buffer(e.cfg.ranks(), e.cfg.steps, &mut e.records);
-            let stats = e.stats;
-            e.recycle(pools);
-            Ok((trace, stats))
-        }
-        Err(err) => {
-            e.recycle(pools);
-            Err(err)
-        }
-    }
-}
-
-/// [`Engine::try_run_checkpointed`] drawing and returning all large
-/// allocations from `pools`: the sweep runner's per-worker path, so a
-/// supervisor thread churning through hundreds of scenarios reuses one
-/// set of buffers instead of reallocating per attempt.
-pub fn try_run_checkpointed_pooled<F>(
-    cfg: &SimConfig,
-    limits: &RunLimits,
-    policy: &CheckpointPolicy,
-    mut sink: F,
-    pools: &mut EnginePools,
-) -> Result<(Trace, RunStats), SimError>
-where
-    F: FnMut(&Snapshot),
-{
-    let mut e = Engine::try_new_pooled(cfg.clone(), pools)?;
-    match e.run_loop(limits, policy, &mut sink) {
-        Ok(()) => {
-            let trace = Trace::from_record_buffer(e.cfg.ranks(), e.cfg.steps, &mut e.records);
-            let stats = e.stats;
-            e.recycle(pools);
-            Ok((trace, stats))
-        }
-        Err(err) => {
-            e.recycle(pools);
-            Err(err)
-        }
-    }
+    Engine::try_new_pooled(cfg.clone(), pools)?.try_run_pooled(
+        limits,
+        &CheckpointPolicy::none(),
+        |_| {},
+        pools,
+    )
 }
 
 /// [`Engine::try_run_summary`] drawing and returning all large

@@ -10,16 +10,17 @@
 //! restored alike — and inside each of the six monomorphized copies of
 //! [`pump`] the per-event branch tree, the early-set probes for messages
 //! the protocol can never produce, the CTS gate check, and the
-//! trace-mode branch in `finish_step` all fold away. The watchdog budgets
-//! and the checkpoint cadence are checked inline in the same loop; the
-//! checkpoint sink is a trait object, so it adds no instantiations.
+//! trace-mode branch in `finish_step` all fold away. The watchdog budgets,
+//! the wall-clock deadline and the checkpoint cadence are checked inline
+//! in the same loop; the checkpoint sink is a trait object, so it adds no
+//! instantiations.
 //!
 //! This module is the one place that may `match` on [`Mode`] to steer
 //! dispatch; the `mode-match-in-inline-handler` simlint rule keeps new
 //! runtime mode branches from creeping back into the hot handlers.
 
 use super::{Engine, Mode, TraceMode};
-use crate::error::{RunLimits, SimError};
+use crate::error::{Deadline, RunLimits, SimError};
 use crate::snapshot::{CheckpointPolicy, Snapshot};
 
 /// Compile-time facts about a run that the specialized handlers fold
@@ -76,8 +77,9 @@ spec!(
 );
 
 /// Drain the queue with the handlers monomorphized for `S`, tripping the
-/// `limits` watchdog and handing a snapshot to `sink` whenever the
-/// `policy` cadence comes due.
+/// `limits` watchdog, stopping at a passed [`Deadline`] (checked at the
+/// first event and every [`Deadline::EVERY`] after it) and handing a
+/// snapshot to `sink` whenever the `policy` cadence comes due.
 fn pump<S: Spec>(
     e: &mut Engine,
     limits: &RunLimits,
@@ -90,8 +92,15 @@ fn pump<S: Spec>(
     // timing never feeds back into simulation state.
     let mut last_ckpt_events = e.q.delivered();
     let mut next_ckpt_time = policy.every_sim_time.map(|dt| e.q.now() + dt);
+    let (deadline, first) = (e.deadline, e.q.delivered());
     while let Some((now, ev)) = e.q.pop() {
         e.stats.peak_queue = e.stats.peak_queue.max(e.q.len() + 1);
+        if let Some(deadline) = deadline {
+            let seen = e.q.delivered() - 1;
+            if (seen - first).is_multiple_of(Deadline::EVERY) && deadline.passed() {
+                return Err(SimError::DeadlinePassed { events: seen });
+            }
+        }
         if let Some(budget) = limits.max_sim_time {
             if now > budget {
                 return Err(SimError::Watchdog {

@@ -9,6 +9,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 use simdes::SimTime;
 
@@ -49,6 +50,13 @@ pub enum SimError {
         /// The rejecting diagnostic, carrying the RT code and detail.
         Diagnostic,
     ),
+    /// The run's wall-clock [`Deadline`] passed. Unlike the [`RunLimits`]
+    /// budgets this depends on the host, so the run just stops: the
+    /// error names no sim time and is never replayed.
+    DeadlinePassed {
+        /// Events processed before the check that tripped.
+        events: u64,
+    },
 }
 
 impl SimError {
@@ -75,6 +83,12 @@ impl SimError {
                 why,
             )],
             SimError::Snapshot(diag) => vec![diag],
+            SimError::DeadlinePassed { events } => vec![Diagnostic::error(
+                "RT006",
+                "run",
+                format!("{events} events"),
+                "wall-clock deadline passed",
+            )],
         }
     }
 }
@@ -100,6 +114,9 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::Snapshot(diag) => write!(f, "snapshot rejected: {diag}"),
+            SimError::DeadlinePassed { events } => {
+                write!(f, "wall-clock deadline passed after {events} events")
+            }
         }
     }
 }
@@ -139,6 +156,37 @@ impl RunLimits {
     }
 }
 
+/// A wall-clock instant past which a run stops itself with
+/// [`SimError::DeadlinePassed`]: the fused kernel checks it once per
+/// step, the event loop every [`Deadline::EVERY`] delivered events
+/// starting with the first. Engine construction happens before the first
+/// check, so it always completes. Set it with [`crate::Engine::with_deadline`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deadline(Instant);
+
+impl Deadline {
+    /// Delivered events between two checks in the event loop.
+    pub const EVERY: u64 = 1024;
+
+    /// The deadline `timeout` from now.
+    pub fn after(timeout: Duration) -> Deadline {
+        Deadline(wall_now() + timeout)
+    }
+
+    /// Has the deadline passed?
+    pub fn passed(self) -> bool {
+        wall_now() >= self.0
+    }
+}
+
+/// The engine's one wall-clock read. Sim results never depend on it: a
+/// deadline only decides whether a run finishes or stops with
+/// [`SimError::DeadlinePassed`], so supervisors can bound a runaway
+/// attempt on the thread it runs on instead of abandoning that thread.
+fn wall_now() -> Instant {
+    Instant::now() // simlint: allow(wall-clock) — decides only whether a run stops
+}
+
 #[cfg(test)]
 mod tests {
     use simdes::SimDuration;
@@ -167,6 +215,16 @@ mod tests {
         };
         assert_eq!(w.clone().into_diagnostics()[0].code, "RT002");
         assert!(w.to_string().contains("after 12 events"), "{w}");
+
+        let d = SimError::DeadlinePassed { events: 2048 };
+        assert_eq!(d.clone().into_diagnostics()[0].code, "RT006");
+        assert!(d.to_string().contains("after 2048 events"), "{d}");
+    }
+
+    #[test]
+    fn a_zero_deadline_has_passed_and_a_far_one_has_not() {
+        assert!(Deadline::after(Duration::ZERO).passed());
+        assert!(!Deadline::after(Duration::from_secs(3600)).passed());
     }
 
     #[test]

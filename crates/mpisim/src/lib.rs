@@ -28,11 +28,10 @@ mod snapshot;
 pub use config::{Mode, NoisePlacement, Protocol, SimConfig};
 pub use diag::{Diagnostic, Severity};
 pub use engine::{
-    fused_path_eligible, run, try_run, try_run_checkpointed_pooled, try_run_summary_pooled,
-    try_run_with_limits, try_run_with_stats_pooled, Engine, EnginePools, PoolBudget, RunStats,
-    RunSummary, TraceMode,
+    fused_path_eligible, run, try_run, try_run_summary_pooled, try_run_with_limits,
+    try_run_with_stats_pooled, Engine, EnginePools, PoolBudget, RunStats, RunSummary, TraceMode,
 };
-pub use error::{RunLimits, SimError};
+pub use error::{Deadline, RunLimits, SimError};
 pub use faults::{
     CrashOutcome, Delivery, FaultPlan, LinkDegradation, MessageFaults, RankFault, RankFaultKind,
 };

@@ -219,9 +219,9 @@ impl DelayDistribution {
             DelayDistribution::Empirical { ref samples } if samples.is_empty() => {
                 Err("empirical distribution with no samples".into())
             }
-            DelayDistribution::Pareto { alpha, .. } if !(alpha > 1.0) => Err(format!(
-                "Pareto alpha must exceed 1 for a finite mean (alpha = {alpha})"
-            )),
+            DelayDistribution::Pareto { alpha, .. } if alpha.is_nan() || alpha <= 1.0 => Err(
+                format!("Pareto alpha must exceed 1 for a finite mean (alpha = {alpha})"),
+            ),
             DelayDistribution::Uniform { lo, hi } if lo > hi => {
                 Err(format!("uniform bounds inverted (lo = {lo} > hi = {hi})"))
             }

@@ -221,7 +221,7 @@ fn predict(cfg: &SimConfig, events_per_sec: Option<f64>) -> BudgetReport {
             .rank_faults
             .iter()
             .any(|f| matches!(f.kind, mpisim::RankFaultKind::Crash { outage: None }))
-        && !(mode == Mode::Eager && cfg.eager_buffer_bytes.is_some());
+        && (mode != Mode::Eager || cfg.eager_buffer_bytes.is_none());
 
     // Peak queue: every rank holds at most one phase event, plus the
     // in-flight message events of roughly two steps of skewed ranks, plus
@@ -429,7 +429,7 @@ pub fn budget_checks(cfg: &SimConfig, report: &BudgetReport, budgets: &Budgets) 
                 format!(
                     "calibrated wall-time prediction ({wall:.3} s at \
                      {:.0} events/s) exceeds the {limit:.3} s wall-clock \
-                     timeout: expect the supervisor to abandon the attempt",
+                     timeout: expect the attempt to stop at its deadline",
                     report.events_per_sec.unwrap_or(0.0)
                 ),
             ));

@@ -97,7 +97,7 @@ pub fn checkpoint_checks(interval: SimDuration, watchdog_budget: SimTime) -> Vec
 
 /// SC025: a sweep retry policy that can never be exercised. The sweep
 /// supervisor's worst case per scenario is `(retries + 1)` attempts, each
-/// ending at the `wall_timeout` backstop; with `threads` supervision slots
+/// ending at the `wall_timeout` deadline; with `threads` worker threads
 /// the suite's worst-case wall time is
 /// `ceil(scenarios / threads) × (retries + 1) × wall_timeout`. When that
 /// exceeds the sweep's declared total wall budget, the retry policy is

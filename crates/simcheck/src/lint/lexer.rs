@@ -95,8 +95,8 @@ pub fn lex(source: &str) -> Lexed {
                     if let Some(end) = char_literal_end(&chars, i) {
                         // Blank the contents, keep the quotes.
                         mask.push('\'');
-                        for j in i + 1..end {
-                            mask.push(if chars[j] == '\n' { '\n' } else { ' ' });
+                        for &c in &chars[i + 1..end] {
+                            mask.push(if c == '\n' { '\n' } else { ' ' });
                         }
                         mask.push('\'');
                         i = end + 1;

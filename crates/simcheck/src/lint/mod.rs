@@ -341,9 +341,11 @@ mod tests {
 
     #[test]
     fn report_summary_is_machine_readable() {
-        let mut report = LintReport::default();
-        report.files_scanned = 3;
-        report.suppressed = 2;
+        let mut report = LintReport {
+            files_scanned: 3,
+            suppressed: 2,
+            ..LintReport::default()
+        };
         report.violations.push(Violation {
             path: "src/a.rs".into(),
             line: 1,

@@ -1424,7 +1424,7 @@ mod tests {
         assert_eq!(from_str::<u64>(&to_string(&u64::MAX)).unwrap(), u64::MAX);
         assert_eq!(from_str::<i64>(&to_string(&-3i64)).unwrap(), -3);
         assert_eq!(from_str::<f64>(&to_string(&0.25f64)).unwrap(), 0.25);
-        assert_eq!(from_str::<bool>(&to_string(&true)).unwrap(), true);
+        assert!(from_str::<bool>(&to_string(&true)).unwrap());
         assert_eq!(from_str::<String>(&to_string("hey")).unwrap(), "hey");
         assert_eq!(
             from_str::<Vec<u64>>(&to_string(&vec![1u64, 2])).unwrap(),

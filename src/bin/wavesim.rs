@@ -289,7 +289,8 @@ fn parse_checkpoint_every(spec: &str) -> Result<CheckpointPolicy, String> {
     };
     let v: f64 = parse(num.trim())?;
     let nanos = v * nanos_per_unit;
-    if !(nanos >= 1.0) || !nanos.is_finite() {
+    // `!is_finite` also rejects NaN, which every comparison lets through.
+    if nanos < 1.0 || !nanos.is_finite() {
         return Err(format!(
             "--checkpoint-every: '{spec}' must be at least one nanosecond"
         ));

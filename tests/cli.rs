@@ -150,6 +150,14 @@ fn bad_flags_exit_with_code_2() {
         assert_eq!(out.status.code(), Some(2), "args {bad:?} should fail");
         assert!(!out.stderr.is_empty());
     }
+    // NaN fails every comparison; the cadence parser must still refuse it.
+    let out = wavesim()
+        .args(["--checkpoint-every", "NaNms"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("at least one nanosecond"), "{stderr}");
 }
 
 #[test]

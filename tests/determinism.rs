@@ -5,7 +5,9 @@
 //! what accidental `HashMap` iteration, thread-scheduling dependence, or
 //! global RNG state would silently break.
 
-use idle_waves::idlewave::{batch, WaveExperiment, WaveTrace};
+mod common;
+
+use idle_waves::idlewave::{WaveExperiment, WaveTrace};
 use idle_waves::prelude::*;
 
 const MS: SimDuration = SimDuration::from_millis(1);
@@ -48,14 +50,15 @@ fn different_seeds_actually_differ() {
 #[test]
 fn batch_results_are_independent_of_thread_count() {
     let seeds: Vec<u64> = (0..10).collect();
-    let base = noisy_config(0);
-    let reference = batch::run_seeds(&base, &seeds, 1);
-    for threads in [2, 3, 4, 8, 16] {
-        let parallel = batch::run_seeds(&base, &seeds, threads);
+    let configs: Vec<SimConfig> = seeds.iter().map(|&s| noisy_config(s)).collect();
+    let reference = common::sweep_summaries("determinism-seeds", &configs, 1);
+    for threads in [2, 4, 8] {
+        let parallel = common::sweep_summaries("determinism-seeds", &configs, threads);
         assert_eq!(parallel.len(), reference.len());
         for (i, (p, r)) in parallel.iter().zip(&reference).enumerate() {
             assert_eq!(
-                p.trace, r.trace,
+                (p.trace_fingerprint, p.events),
+                (r.trace_fingerprint, r.events),
                 "seed {} diverged on {threads} threads",
                 seeds[i]
             );
@@ -74,11 +77,16 @@ fn batch_order_matches_input_order() {
             c
         })
         .collect();
-    let out = batch::run_batch(configs.clone(), 4);
+    let out = common::sweep_summaries("determinism-order", &configs, 4);
     assert_eq!(out.len(), configs.len());
-    for (i, wt) in out.iter().enumerate() {
-        assert_eq!(wt.cfg.steps, 10 + i as u32, "slot {i} holds the wrong run");
-        assert_eq!(wt.trace.steps(), 10 + i as u32);
+    for (i, (summary, cfg)) in out.iter().zip(configs).enumerate() {
+        let direct = WaveTrace::from_config(cfg).trace;
+        assert_eq!(direct.steps(), 10 + i as u32);
+        assert_eq!(
+            summary.trace_fingerprint,
+            direct.fingerprint(),
+            "slot {i} holds the wrong run"
+        );
     }
 }
 

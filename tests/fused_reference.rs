@@ -12,7 +12,8 @@
 //! * a checkpointed run resumed from any cut point (checkpointed and
 //!   restored engines always replay through the general loop, so every
 //!   cut is also a fused-vs-general cross-check),
-//! * the streaming summary fold of either path, and
+//! * the streaming summary fold of either path,
+//! * any of these under a wall-clock deadline that does not pass, and
 //! * the independent max-plus reference recurrence, on the closed-form
 //!   domain [`reference::supports`] describes.
 //!
@@ -23,9 +24,11 @@
 //! are exercised and the eligibility predicate itself is property-tested
 //! against the engine's behaviour (`peak_queue == 0` iff fused).
 
+use std::time::Duration;
+
 use idle_waves::mpisim::{
-    fused_path_eligible, reference, CheckpointPolicy, Engine, FaultPlan, RunLimits, RunStats,
-    RunSummary, SimError, Snapshot,
+    fused_path_eligible, reference, CheckpointPolicy, Deadline, Engine, FaultPlan, RunLimits,
+    RunStats, RunSummary, SimError, Snapshot,
 };
 use idle_waves::prelude::*;
 
@@ -91,6 +94,20 @@ fn general_limited(cfg: &SimConfig, limits: &RunLimits) -> Result<(Trace, RunSta
     Engine::new(cfg.clone()).try_run_checkpointed(limits, &NEVER, |_| {})
 }
 
+/// A fresh engine for `cfg`, stopped at `deadline` when one is given.
+fn engine(cfg: &SimConfig, deadline: Option<Deadline>) -> Engine {
+    let e = Engine::new(cfg.clone());
+    match deadline {
+        Some(d) => e.with_deadline(d),
+        None => e,
+    }
+}
+
+/// A deadline no test run gets near.
+fn far_deadline() -> Deadline {
+    Deadline::after(Duration::from_secs(3600))
+}
+
 /// Run the scenario through the general event loop.
 fn general_run(cfg: &SimConfig) -> (Trace, RunStats) {
     general_limited(cfg, &RunLimits::none()).expect("general run completes")
@@ -133,42 +150,46 @@ fn limited_runs_match_the_general_loop_at_every_trip_boundary() {
         let runtime = trace.total_runtime();
         let times = [Some(SimTime(runtime.0 - 1)), Some(runtime), None];
         let counts = [Some(stats.events - 1), Some(stats.events), None];
-        for max_sim_time in times {
-            for max_events in counts {
-                let limits = RunLimits {
-                    max_sim_time,
-                    max_events,
-                };
-                let want = general_limited(&cfg, &limits);
-                let got = Engine::new(cfg.clone()).try_run_with_stats(&limits);
-                let summary = Engine::new(cfg.clone()).try_run_summary(&limits);
-                match (&got, &want) {
-                    (Ok((t, s)), Ok((wt, ws))) => {
-                        assert_eq!(t, wt, "trace diverged under {limits:?}");
-                        let mut normalized = *ws;
-                        normalized.peak_queue = s.peak_queue;
-                        assert_eq!(*s, normalized, "stats diverged under {limits:?}");
-                        assert!(
-                            !fused || s.peak_queue == 0,
-                            "a non-binding limited run of an eligible config must fuse"
-                        );
-                        let (sum, _) = summary.expect("summary run completes too");
-                        assert_eq!(sum, RunSummary::of_trace(wt), "summary under {limits:?}");
-                    }
-                    (Err(e), Err(we)) => {
-                        assert_eq!(e, we, "error diverged under {limits:?}");
-                        assert_eq!(e.to_string(), we.to_string());
-                        assert_eq!(summary.expect_err("summary run trips too"), *we);
-                    }
-                    _ => panic!("outcome diverged under {limits:?}: {got:?} vs {want:?}"),
+        for (max_sim_time, max_events, deadline) in times
+            .into_iter()
+            .flat_map(|t| counts.map(|n| (t, n)))
+            .flat_map(|(t, n)| [(t, n, None), (t, n, Some(far_deadline()))])
+        {
+            let limits = RunLimits {
+                max_sim_time,
+                max_events,
+            };
+            let want = general_limited(&cfg, &limits);
+            let got = engine(&cfg, deadline).try_run_with_stats(&limits);
+            let summary = engine(&cfg, deadline).try_run_summary(&limits);
+            let checkpointed = engine(&cfg, deadline).try_run_checkpointed(&limits, &NEVER, |_| {});
+            assert_eq!(checkpointed, want, "checkpointed run under {deadline:?}");
+            match (&got, &want) {
+                (Ok((t, s)), Ok((wt, ws))) => {
+                    assert_eq!(t, wt, "trace diverged under {limits:?}");
+                    let mut normalized = *ws;
+                    normalized.peak_queue = s.peak_queue;
+                    assert_eq!(*s, normalized, "stats diverged under {limits:?}");
+                    assert!(
+                        !fused || s.peak_queue == 0,
+                        "a non-binding limited run of an eligible config must fuse"
+                    );
+                    let (sum, _) = summary.expect("summary run completes too");
+                    assert_eq!(sum, RunSummary::of_trace(wt), "summary under {limits:?}");
                 }
-                if fused {
-                    // Eligible runs trip exactly at the last event's time
-                    // and the semantic event count.
-                    let binding = max_sim_time == Some(SimTime(runtime.0 - 1))
-                        || max_events == Some(stats.events - 1);
-                    assert_eq!(want.is_err(), binding, "trip boundary under {limits:?}");
+                (Err(e), Err(we)) => {
+                    assert_eq!(e, we, "error diverged under {limits:?}");
+                    assert_eq!(e.to_string(), we.to_string());
+                    assert_eq!(summary.expect_err("summary run trips too"), *we);
                 }
+                _ => panic!("outcome diverged under {limits:?}: {got:?} vs {want:?}"),
+            }
+            if fused {
+                // Eligible runs trip exactly at the last event's time
+                // and the semantic event count.
+                let binding = max_sim_time == Some(SimTime(runtime.0 - 1))
+                    || max_events == Some(stats.events - 1);
+                assert_eq!(want.is_err(), binding, "trip boundary under {limits:?}");
             }
         }
     });
@@ -224,9 +245,18 @@ fn checkpoint_cuts_replay_to_the_fused_result() {
             return; // run delivered fewer than `cut` events
         };
         let decoded = Snapshot::decode(snap.encode().as_bytes()).expect("own encoding decodes");
-        let resumed = Engine::restore(cfg, &decoded)
+        let resumed = Engine::restore(cfg.clone(), &decoded)
             .expect("valid snapshot")
             .run();
+        let (under_deadline, _) = Engine::restore(cfg, &decoded)
+            .expect("valid snapshot")
+            .with_deadline(far_deadline())
+            .try_run_with_stats(&RunLimits::none())
+            .expect("a far deadline never passes");
+        assert_eq!(
+            under_deadline, resumed,
+            "a deadline changed the resumed run"
+        );
         assert_eq!(
             resumed.fingerprint(),
             plain.fingerprint(),
@@ -234,6 +264,40 @@ fn checkpoint_cuts_replay_to_the_fused_result() {
         );
         assert_eq!(resumed, plain, "trace diverged after resuming at cut {cut}");
     });
+}
+
+/// A deadline that has already passed stops every path at its first
+/// check, with no replay: the fused kernel before step 0, and each of the
+/// event loop's protocol × trace-mode specializations at its first event.
+#[test]
+fn a_passed_deadline_stops_every_path_at_its_first_check() {
+    let base = || {
+        WaveExperiment::flat_chain(8)
+            .texec(MS)
+            .steps(4)
+            .inject(2, 1, MS.times(3))
+    };
+    let eager = base().eager().into_config();
+    let mut lossy = eager.clone();
+    lossy.faults = FaultPlan::none().with_drops(0.1, SimDuration::from_micros(100));
+    let mut bounded = eager.clone();
+    bounded.eager_buffer_bytes = Some(1 << 20);
+    let rdvz = base().rendezvous().into_config();
+    assert!(fused_path_eligible(&eager));
+    for cfg in [&lossy, &bounded, &rdvz] {
+        assert!(!fused_path_eligible(cfg), "{cfg:?}");
+    }
+    let want = SimError::DeadlinePassed { events: 0 };
+    let passed = || Some(Deadline::after(Duration::ZERO));
+    for cfg in [&eager, &lossy, &bounded, &rdvz] {
+        let full = engine(cfg, passed()).try_run_with_stats(&RunLimits::none());
+        let summary = engine(cfg, passed()).try_run_summary(&RunLimits::none());
+        let general =
+            engine(cfg, passed()).try_run_checkpointed(&RunLimits::none(), &NEVER, |_| {});
+        assert_eq!(full.expect_err("full run stops"), want, "{cfg:?}");
+        assert_eq!(summary.expect_err("summary run stops"), want, "{cfg:?}");
+        assert_eq!(general.expect_err("event loop stops"), want, "{cfg:?}");
+    }
 }
 
 #[test]
