@@ -71,12 +71,30 @@ impl ResultCache {
     /// for writability — an unwritable cache dir surfaces as `Err` (the
     /// caller degrades to an uncached sweep with an `SC026` warning)
     /// instead of failing every store mid-sweep.
+    ///
+    /// A directory this call just created is ours and writable (the
+    /// `mkdir` succeeded), so it skips the probe file unless its
+    /// permissions say read-only; a directory that already existed is
+    /// always probed.
     pub(crate) fn open(dir: &Path) -> Result<ResultCache, String> {
-        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        let probe = dir.join(".probe.tmp");
-        std::fs::write(&probe, b"probe")
-            .and_then(|()| std::fs::remove_file(&probe))
-            .map_err(|e| e.to_string())?;
+        let made = match std::fs::create_dir(dir) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => dir
+                .parent()
+                .map_or(Ok(()), std::fs::create_dir_all)
+                .and_then(|()| std::fs::create_dir(dir)),
+            made => made,
+        };
+        let fresh = match made {
+            Ok(()) => true,
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => false,
+            Err(e) => return Err(e.to_string()),
+        };
+        if !fresh || std::fs::metadata(dir).map_or(true, |m| m.permissions().readonly()) {
+            let probe = dir.join(".probe.tmp");
+            std::fs::write(&probe, b"probe")
+                .and_then(|()| std::fs::remove_file(&probe))
+                .map_err(|e| e.to_string())?;
+        }
         Ok(ResultCache {
             dir: dir.to_path_buf(),
         })
@@ -289,6 +307,27 @@ mod tests {
             }
             _ => panic!("collision must quarantine"),
         }
+    }
+
+    #[test]
+    fn a_fresh_cache_dir_is_opened_without_a_probe_file() {
+        let root = tmp("fresh_parent");
+        // Missing parents are created too, and the new leaf is ours.
+        let dir = root.join("nested").join("cache");
+        let cache = ResultCache::open(&dir).expect("writable");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("cache dir exists")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert!(names.is_empty(), "fresh cache dir holds {names:?}");
+        // The skipped probe did not skip writability: a store lands.
+        cache
+            .store("{}", 7, 1, &summary())
+            .expect("store into a fresh dir");
+        assert!(cache.entry_path(7).exists());
+        // Reopening an existing directory probes it and cleans up.
+        ResultCache::open(&dir).expect("reopen");
+        assert!(!dir.join(".probe.tmp").exists());
     }
 
     #[test]

@@ -1162,16 +1162,22 @@ fn run_attempt(
             let _ = write_snapshot_atomic(&plan.path, snap);
         }
     };
-    classify(engine.and_then(|e| {
+    let run = engine.and_then(|e| {
         e.with_deadline(deadline)
             .try_run_pooled(limits, &policy, sink, pools)
-    }))
+    });
+    classify(run, pools)
 }
 
-/// Map a run's result to an attempt outcome.
-fn classify(run: Result<(Trace, RunStats), SimError>) -> Attempt {
+/// Map a run's result to an attempt outcome, handing a finished trace's
+/// record buffer back to `pools` for the worker's next scenario.
+fn classify(run: Result<(Trace, RunStats), SimError>, pools: &mut EnginePools) -> Attempt {
     match run {
-        Ok((trace, stats)) => Attempt::Ok(Box::new(RunSummary::from_run(&trace, &stats))),
+        Ok((trace, stats)) => {
+            let summary = RunSummary::from_run(&trace, &stats);
+            pools.reclaim(trace.into_records());
+            Attempt::Ok(Box::new(summary))
+        }
         Err(e @ SimError::Stalled { .. }) => Attempt::Stalled(e.to_string()),
         Err(e @ SimError::Watchdog { .. }) => Attempt::Watchdog(e.to_string()),
         Err(e @ (SimError::InvalidConfig(_) | SimError::Snapshot(_))) => {
@@ -1501,13 +1507,23 @@ mod tests {
     /// Attempts on one worker share its [`EnginePools`], pre-sized from
     /// the budget analyzer's predicted shape: same-shape scenarios never
     /// allocate beyond the budget — settled from run 1, no warmup runs.
+    /// The trace borrows the pool's record buffer to be fingerprinted and
+    /// the attempt hands it back, so no scenario allocates a new one.
     #[test]
     fn attempts_reuse_the_worker_pool_across_scenarios() {
-        let mut pool = WorkerPool::new(simcheck::budget::budget(&quick_cfg(0)).pool);
+        let budget = simcheck::budget::budget(&quick_cfg(0)).pool;
+        let mut pool = WorkerPool::new(budget);
+        assert!(budget.trace_records > 0);
+        assert_eq!(pool.pools.record_capacity(), budget.trace_records);
         for seed in 0..6u64 {
             let s = Scenario::new(format!("s{seed}"), quick_cfg(seed));
             let r = supervise(&s, &opts(), SimTime(u64::MAX), 0, true, None, &mut pool);
             assert_eq!(r.status, ScenarioStatus::Ok, "seed {seed}: {r:?}");
+            assert_eq!(
+                pool.pools.record_capacity(),
+                budget.trace_records,
+                "seed {seed}: the record buffer was not handed back"
+            );
             assert_eq!(
                 pool.pools.grows(),
                 0,

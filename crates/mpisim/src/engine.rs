@@ -759,6 +759,19 @@ impl EnginePools {
         self.runs
     }
 
+    /// Capacity of the pooled trace-record buffer, in records.
+    pub fn record_capacity(&self) -> usize {
+        self.records.capacity()
+    }
+
+    /// Take back the record buffer a pooled run lent to its [`Trace`]
+    /// ([`Trace::into_records`]), so the next full-trace run writes into
+    /// it instead of allocating.
+    pub fn reclaim(&mut self, mut records: Vec<PhaseRecord>) {
+        records.clear();
+        self.records = records;
+    }
+
     /// Total pooled capacity, in buffer entries.
     fn capacity(&self) -> usize {
         self.q.capacity()
@@ -1031,9 +1044,16 @@ impl Engine {
 
     /// Return every pooled buffer to `pools` for the next run, updating
     /// the capacity watermark and grow counter.
-    pub fn recycle(mut self, pools: &mut EnginePools) {
+    pub fn recycle(self, pools: &mut EnginePools) {
+        self.recycle_lending(pools, 0);
+    }
+
+    /// [`Engine::recycle`] while a trace holds `lent` records of capacity
+    /// that the pool gets back through [`EnginePools::reclaim`]: they
+    /// still count toward the watermark.
+    fn recycle_lending(mut self, pools: &mut EnginePools, lent: usize) {
         self.stow(pools);
-        let cap = pools.capacity();
+        let cap = pools.capacity() + lent;
         // A fresh pool's first run sets the baseline; a budgeted pool
         // (nonzero watermark before any run) is held to its budget from
         // run 1.
@@ -1159,18 +1179,25 @@ impl Engine {
         F: FnMut(&Snapshot),
     {
         self.run_loop(limits, policy, &mut sink)?;
-        let trace = Trace::from_records(
+        Ok((self.take_trace(), self.stats))
+    }
+
+    /// The finished run's trace, built in place on the record buffer.
+    fn take_trace(&mut self) -> Trace {
+        Trace::from_records(
             self.cfg.ranks(),
             self.cfg.steps,
             std::mem::take(&mut self.records),
-        );
-        Ok((trace, self.stats))
+        )
     }
 
     /// [`Engine::try_run_checkpointed`] that gives every pooled buffer
     /// back to `pools` afterwards, success or not — the sweep and serve
     /// workers' path, so a worker churning through hundreds of scenarios
     /// reuses one set of buffers instead of reallocating per attempt.
+    /// A finished run's trace takes the record buffer itself, uncopied;
+    /// hand it back with [`Trace::into_records`] and
+    /// [`EnginePools::reclaim`] once the trace is no longer needed.
     pub fn try_run_pooled<F>(
         mut self,
         limits: &RunLimits,
@@ -1181,12 +1208,10 @@ impl Engine {
     where
         F: FnMut(&Snapshot),
     {
-        let run = self.run_loop(limits, policy, &mut sink).map(|()| {
-            let trace =
-                Trace::from_record_buffer(self.cfg.ranks(), self.cfg.steps, &mut self.records);
-            (trace, self.stats)
-        });
-        self.recycle(pools);
+        let run = self.run_loop(limits, policy, &mut sink);
+        let lent = run.as_ref().map_or(0, |()| self.records.capacity());
+        let run = run.map(|()| (self.take_trace(), self.stats));
+        self.recycle_lending(pools, lent);
         run
     }
 
@@ -2176,7 +2201,9 @@ pub fn try_run_with_limits(cfg: &SimConfig, limits: &RunLimits) -> Result<Trace,
 
 /// Full-trace run drawing and returning all large allocations from
 /// `pools`: run `n` scenarios of the same shape through one pool and only
-/// the first allocates.
+/// the first allocates. The returned trace owns the record buffer; give
+/// it back with [`Trace::into_records`] and [`EnginePools::reclaim`], or
+/// the next run allocates a new one.
 pub fn try_run_with_stats_pooled(
     cfg: &SimConfig,
     limits: &RunLimits,

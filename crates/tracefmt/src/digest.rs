@@ -9,6 +9,19 @@
 //! FNV-1a is not cryptographic: it detects torn writes, truncation, and
 //! accidental corruption, not adversarial tampering — exactly the failure
 //! modes crash-safe files have to survive.
+//!
+//! # Folding zero bytes
+//!
+//! FNV-1a absorbs a byte as `h = (h ^ b) · PRIME`. For a zero byte the
+//! xor is the identity, so the step is a bare multiply, and `k` zero
+//! bytes in a row are one multiply by `PRIME^k`. [`Fnv64::write_u64`]
+//! uses that: it runs the byte step only up to a word's highest nonzero
+//! byte and folds the `k` zero high bytes above it into one multiply by
+//! `PRIME^k`, read from a 9-entry table. The digest is exactly the byte
+//! loop's for every word. Trace words are mostly zero high bytes — rank
+//! and step are small, times stay below 2^40 ns and `injected` is
+//! usually 0 — so [`Trace::fingerprint`](crate::Trace::fingerprint) runs
+//! about 3 dependent multiplies per word instead of 8.
 
 /// Incremental 64-bit FNV-1a hasher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,9 +47,16 @@ impl Fnv64 {
     }
 
     /// Absorb one word as its 8 little-endian bytes (the mixing step
-    /// `Trace::fingerprint` has always used).
+    /// `Trace::fingerprint` has always used). The zero bytes above the
+    /// highest nonzero one fold into a single multiply (module docs).
     pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+        let live = 8 - (v.leading_zeros() / 8) as usize;
+        let (mut h, mut w) = (self.h, v);
+        for _ in 0..live {
+            h = (h ^ (w & 0xff)).wrapping_mul(Self::PRIME);
+            w >>= 8;
+        }
+        self.h = h.wrapping_mul(PRIME_POW[8 - live]);
     }
 
     /// The digest of everything absorbed so far.
@@ -44,6 +64,17 @@ impl Fnv64 {
         self.h
     }
 }
+
+/// `PRIME^k` for `k` in `0..=8`: the multiply that absorbs `k` zero bytes.
+const PRIME_POW: [u64; 9] = {
+    let mut t = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        t[k] = t[k - 1].wrapping_mul(Fnv64::PRIME);
+        k += 1;
+    }
+    t
+};
 
 impl Default for Fnv64 {
     fn default() -> Self {
@@ -127,6 +158,44 @@ mod tests {
         let mut w = Fnv64::new();
         w.write_u64(0x0102_0304_0506_0708);
         assert_eq!(w.finish(), fnv1a_64(&[8, 7, 6, 5, 4, 3, 2, 1]));
+    }
+
+    /// The byte loop `write_u64` folds: eight xor-multiply steps.
+    fn byte_loop(h: u64, v: u64) -> u64 {
+        v.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(Fnv64::PRIME))
+    }
+
+    #[test]
+    fn folded_write_u64_equals_the_byte_loop() {
+        let check = |h: u64, v: u64| {
+            let mut f = Fnv64 { h };
+            f.write_u64(v);
+            assert_eq!(f.finish(), byte_loop(h, v), "state {h:#x}, word {v:#x}");
+        };
+        let mut fixed = vec![0, 1, u64::MAX];
+        for k in 1..8 {
+            fixed.push((1u64 << (8 * k)) - 1);
+            fixed.push(1u64 << (8 * k));
+        }
+        for &v in &fixed {
+            check(Fnv64::OFFSET, v);
+            check(0, v);
+            check(u64::MAX, v);
+        }
+        simdes::check::for_all("fnv-fold-equals-byte-loop", 2000, |g| {
+            let h = g.any_u64();
+            // Mix full-width words with words of every byte length, so
+            // every fold width is drawn often.
+            let bytes = g.u32(0, 8);
+            let v = match bytes {
+                0 => 0,
+                n => g.any_u64() >> (64 - 8 * n),
+            };
+            check(h, v);
+            check(h, g.pick(&fixed));
+        });
     }
 
     #[test]

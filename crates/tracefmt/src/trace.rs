@@ -65,16 +65,10 @@ impl Trace {
         })
     }
 
-    /// [`Trace::from_records`] for pooled engines: empties `records`,
-    /// leaving the caller's buffer and its capacity behind for reuse by
-    /// the next run. The trace owns a fresh exact-size allocation.
-    ///
-    /// # Panics
-    /// Panics under the same coverage rules as [`Trace::from_records`].
-    pub fn from_record_buffer(ranks: u32, steps: u32, records: &mut Vec<PhaseRecord>) -> Self {
-        let trace = Trace::from_records(ranks, steps, records.to_vec());
-        records.clear();
-        trace
+    /// Give up the record buffer, rank-major, capacity and all — pooled
+    /// engines take it back for their next run.
+    pub fn into_records(self) -> Vec<PhaseRecord> {
+        self.records
     }
 
     /// Number of ranks.
